@@ -124,7 +124,8 @@ pub fn trial_seeds(trials: usize) -> Vec<u64> {
     (0..trials as u64).map(|i| BASE_SEED + 1000 * i).collect()
 }
 
-/// The strategy line-up of Table V, in the paper's row order.
+/// The strategy line-up of Table V plus the stage zoo: the four non-pipeline
+/// baselines and one [`StrategyKind::Zoo`] kind per [`EstimationMode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// Uniform Sampling.
@@ -133,20 +134,21 @@ pub enum StrategyKind {
     MedianElimination,
     /// Li et al. linear regression on profiles.
     LiEtAl,
-    /// ME + CPE (ablation without LGE).
-    MeCpe,
-    /// The full method (CPE + LGE + ME).
-    Ours,
     /// Ground-truth oracle.
     GroundTruth,
-    /// LGE driven by raw observed sheet accuracies (no CPE model).
-    LgeOnly,
-    /// Per-worker Bayesian Knowledge Tracing posteriors.
-    BktOnly,
-    /// The learning-curve calibration refit from raw observed accuracies.
-    RaschCalibrated,
+    /// A [`CrossDomainSelector`] preset of the stage zoo.
+    Zoo(EstimationMode),
+}
+
+// The zoo kinds the sweep line-ups name directly, under their table names.
+#[allow(non_upper_case_globals)]
+impl StrategyKind {
+    /// ME + CPE (ablation without LGE).
+    pub const MeCpe: StrategyKind = StrategyKind::Zoo(EstimationMode::CpeOnly);
+    /// The full method (CPE + LGE + ME).
+    pub const Ours: StrategyKind = StrategyKind::Zoo(EstimationMode::CpeAndLge);
     /// A weighted CPE + BKT ensemble as the estimation stage.
-    CpeBktEnsemble,
+    pub const CpeBktEnsemble: StrategyKind = StrategyKind::Zoo(EstimationMode::CpeBktEnsemble);
 }
 
 impl StrategyKind {
@@ -164,18 +166,11 @@ impl StrategyKind {
 
     /// The stage zoo: every [`StagePipeline`]-backed estimation pipeline, from
     /// the full method down to the single-model ablations (the
-    /// `examples/stage_ablation.rs` line-up).
+    /// `examples/stage_ablation.rs` line-up), in [`EstimationMode::ALL`] order.
     ///
     /// [`StagePipeline`]: c4u_selection::StagePipeline
     pub fn stage_pipelines() -> Vec<StrategyKind> {
-        vec![
-            StrategyKind::Ours,
-            StrategyKind::MeCpe,
-            StrategyKind::LgeOnly,
-            StrategyKind::BktOnly,
-            StrategyKind::RaschCalibrated,
-            StrategyKind::CpeBktEnsemble,
-        ]
+        EstimationMode::ALL.map(StrategyKind::Zoo).to_vec()
     }
 
     /// Display name matching the paper's tables.
@@ -184,13 +179,8 @@ impl StrategyKind {
             StrategyKind::UniformSampling => "US",
             StrategyKind::MedianElimination => "ME",
             StrategyKind::LiEtAl => "Li et al.",
-            StrategyKind::MeCpe => "ME-CPE",
-            StrategyKind::Ours => "Ours",
             StrategyKind::GroundTruth => "Ground Truth",
-            StrategyKind::LgeOnly => "LGE-only",
-            StrategyKind::BktOnly => "BKT",
-            StrategyKind::RaschCalibrated => "Rasch",
-            StrategyKind::CpeBktEnsemble => "CPE+BKT",
+            StrategyKind::Zoo(mode) => mode.name(),
         }
     }
 
@@ -201,11 +191,11 @@ impl StrategyKind {
     /// the non-learning baselines are near-free.
     pub fn cost_rank(self) -> u8 {
         match self {
-            StrategyKind::Ours => 5,
-            StrategyKind::CpeBktEnsemble => 4,
-            StrategyKind::MeCpe => 3,
-            StrategyKind::LgeOnly | StrategyKind::RaschCalibrated => 2,
-            StrategyKind::BktOnly | StrategyKind::LiEtAl => 1,
+            StrategyKind::Zoo(EstimationMode::CpeAndLge) => 5,
+            StrategyKind::Zoo(EstimationMode::CpeBktEnsemble) => 4,
+            StrategyKind::Zoo(EstimationMode::CpeOnly) => 3,
+            StrategyKind::Zoo(EstimationMode::LgeOnly | EstimationMode::RaschCalibrated) => 2,
+            StrategyKind::Zoo(EstimationMode::BktOnly) | StrategyKind::LiEtAl => 1,
             StrategyKind::UniformSampling
             | StrategyKind::MedianElimination
             | StrategyKind::GroundTruth => 0,
@@ -215,16 +205,14 @@ impl StrategyKind {
     /// Builds the selector with the given CPE epoch budget and initial target
     /// accuracy `a_T`.
     pub fn build(&self, epochs: usize, initial_target_accuracy: f64) -> Box<dyn WorkerSelector> {
-        if let Some(selector) = self.zoo_selector(epochs, initial_target_accuracy) {
-            return Box::new(selector);
-        }
         match self {
             StrategyKind::UniformSampling => Box::new(UniformSampling::new()),
             StrategyKind::MedianElimination => Box::new(MedianEliminationBaseline::new()),
             StrategyKind::LiEtAl => Box::new(LiEtAl::new()),
             StrategyKind::GroundTruth => Box::new(GroundTruthOracle::new()),
-            // zoo_selector covered every stage-pipeline kind above.
-            _ => unreachable!("stage-zoo kinds are built by zoo_selector"),
+            StrategyKind::Zoo(mode) => {
+                Box::new(zoo_selector(*mode, epochs, initial_target_accuracy))
+            }
         }
     }
 
@@ -239,32 +227,25 @@ impl StrategyKind {
         epochs: usize,
         initial_target_accuracy: f64,
     ) -> Option<CrossDomainSelector> {
-        let mut config = SelectorConfig::default();
-        config.cpe.epochs = epochs;
-        config.cpe.initial_target_accuracy = initial_target_accuracy;
-        config.cpe.quadrature_math = quad_math();
-        config.num_shards = num_shards();
-        Some(match self {
-            StrategyKind::MeCpe => CrossDomainSelector::new(config.cpe_only()),
-            StrategyKind::Ours => CrossDomainSelector::new(config),
-            StrategyKind::LgeOnly => {
-                CrossDomainSelector::new(config.with_mode(EstimationMode::LgeOnly))
-            }
-            StrategyKind::BktOnly => {
-                CrossDomainSelector::new(config.with_mode(EstimationMode::BktOnly))
-            }
-            StrategyKind::RaschCalibrated => {
-                CrossDomainSelector::new(config.with_mode(EstimationMode::RaschCalibrated))
-            }
-            StrategyKind::CpeBktEnsemble => {
-                CrossDomainSelector::new(config.with_mode(EstimationMode::CpeBktEnsemble))
-            }
-            StrategyKind::UniformSampling
-            | StrategyKind::MedianElimination
-            | StrategyKind::LiEtAl
-            | StrategyKind::GroundTruth => return None,
-        })
+        match self {
+            StrategyKind::Zoo(mode) => Some(zoo_selector(*mode, epochs, initial_target_accuracy)),
+            _ => None,
+        }
     }
+}
+
+/// The [`CrossDomainSelector`] preset `mode` with the harness's knobs applied.
+fn zoo_selector(
+    mode: EstimationMode,
+    epochs: usize,
+    initial_target_accuracy: f64,
+) -> CrossDomainSelector {
+    let mut config = SelectorConfig::default().with_mode(mode);
+    config.cpe.epochs = epochs;
+    config.cpe.initial_target_accuracy = initial_target_accuracy;
+    config.cpe.quadrature_math = quad_math();
+    config.num_shards = num_shards();
+    CrossDomainSelector::new(config)
 }
 
 /// One experiment cell: a strategy evaluated on a dataset configuration, averaged

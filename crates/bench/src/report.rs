@@ -336,10 +336,8 @@ pub const SERVICE_REPORT_DEFAULT: &str = "BENCH_service.json";
 pub const SERVICE_BASELINE_ENV: &str = c4u_env::names::SERVICE_BASELINE;
 
 /// One `(workers, shards, executors)` cell of the service sweep: median
-/// wall-clock of one full learning round through the [`ShardService`]
+/// wall-clock of one full learning round through the `c4u_service::ShardService`
 /// executor pool and through the in-process sharded reference path.
-///
-/// [`ShardService`]: c4u_service::ShardService
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceCell {
     /// Workers answering the round (the pool size).

@@ -152,7 +152,7 @@ pub fn merge_evaluation(per_worker: &[f64]) -> f64 {
 /// error — never a different answer). [`InProcessExecutor`] is the identity
 /// implementation; `c4u-service` provides queue-fed thread-pool executors and
 /// codec/socket transports behind the same trait, all pinned against the
-/// in-process numbers by `tests/service_equivalence.rs`.
+/// in-process numbers by that crate's `service_equivalence` suite.
 pub trait ShardExecutor: Send + Sync {
     /// Answers one shard's learning batch.
     fn answer(&self, request: &AnswerShardRequest) -> Result<Vec<AnswerSheet>, SimError>;

@@ -61,10 +61,6 @@ pub mod names {
     pub const QUAD_BASELINE: &str = "C4U_QUAD_BASELINE";
     /// `1` arms the bench regression gates.
     pub const BENCH_GATE: &str = "C4U_BENCH_GATE";
-    /// Executor-thread count of the shard service.
-    pub const SERVICE_EXECUTORS: &str = "C4U_SERVICE_EXECUTORS";
-    /// Work-queue capacity of the shard service (0 = unbounded).
-    pub const SERVICE_QUEUE: &str = "C4U_SERVICE_QUEUE";
     /// Pool sizes swept by the `service` bench.
     pub const SERVICE_BENCH_WORKERS: &str = "C4U_SERVICE_BENCH_WORKERS";
     /// Shard counts swept by the `service` bench.
@@ -216,18 +212,6 @@ pub const KNOBS: &[Knob] = &[
         kind: KnobKind::Flag,
         default: "off",
         doc: "`1` makes the trajectory benches fail on >25% per-cell regressions.",
-    },
-    Knob {
-        name: names::SERVICE_EXECUTORS,
-        kind: KnobKind::Count,
-        default: "1",
-        doc: "Executor threads of the shard service.",
-    },
-    Knob {
-        name: names::SERVICE_QUEUE,
-        kind: KnobKind::Count,
-        default: "0 (unbounded)",
-        doc: "Work-queue capacity of the shard service.",
     },
     Knob {
         name: names::SERVICE_BENCH_WORKERS,
@@ -428,11 +412,6 @@ fn parse_count(raw: Option<&str>, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Parses a non-negative integer if present and parsable (after trimming).
-fn parse_maybe_count(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse().ok())
-}
-
 /// Parses a comma-separated list of positive integers; unset or empty keeps
 /// the default, unparsable or non-positive entries are dropped.
 fn parse_count_list(raw: Option<&str>, default: &[usize]) -> Vec<usize> {
@@ -489,10 +468,6 @@ pub struct C4uEnv {
     pub quad_baseline: PathKnob,
     /// `C4U_BENCH_GATE` — whether the trajectory regression gates are armed.
     pub bench_gate: bool,
-    /// `C4U_SERVICE_EXECUTORS` — shard-service executor threads, if set.
-    pub service_executors: Option<usize>,
-    /// `C4U_SERVICE_QUEUE` — shard-service queue capacity, if set.
-    pub service_queue: Option<usize>,
     /// `C4U_SERVICE_BENCH_WORKERS` — service-bench pool sizes.
     pub service_bench_workers: Vec<usize>,
     /// `C4U_SERVICE_BENCH_SHARDS` — service-bench shard counts.
@@ -532,8 +507,6 @@ impl C4uEnv {
             quad_report: PathKnob::from_raw(var_os(names::QUAD_REPORT)),
             quad_baseline: PathKnob::from_raw(var_os(names::QUAD_BASELINE)),
             bench_gate: parse_flag(var(names::BENCH_GATE).as_deref()),
-            service_executors: parse_maybe_count(var(names::SERVICE_EXECUTORS).as_deref()),
-            service_queue: parse_maybe_count(var(names::SERVICE_QUEUE).as_deref()),
             service_bench_workers: parse_count_list(
                 var(names::SERVICE_BENCH_WORKERS).as_deref(),
                 DEFAULT_SERVICE_BENCH_WORKERS,
@@ -618,9 +591,6 @@ mod tests {
         assert_eq!(parse_count(Some("0"), 7), 7);
         assert_eq!(parse_count(Some("-3"), 7), 7);
         assert_eq!(parse_count(Some("twelve"), 7), 7);
-        assert_eq!(parse_maybe_count(Some("0")), Some(0));
-        assert_eq!(parse_maybe_count(Some("x")), None);
-        assert_eq!(parse_maybe_count(None), None);
     }
 
     #[test]

@@ -90,10 +90,6 @@ pub use stage::{
     RoundContext, RoundEstimates, RoundHeader, SheetAccuracyStage, StageInit, StagePipeline,
     StageRoundInput,
 };
-// The pre-RoundHeader round input, re-exported (deprecated) for one release so
-// downstream `run_round` callers keep compiling.
-#[allow(deprecated)]
-pub use stage::RoundInput;
 
 // Re-export the simulator types that appear in this crate's public API
 // (AnswerSheet/HistoricalProfile are part of the stage-context types;
@@ -104,6 +100,3 @@ pub use c4u_crowd_sim::{
     Platform, RoundEvents, ScenarioConfig, WorkerId, WorkerShards, WorkerSpec,
 };
 pub use c4u_irt::{BktModel, BktParams};
-// The shard-service knob types referenced by `SelectorConfig`
-// (service_executors / service_queue / service_delivery).
-pub use c4u_service::{DeliveryOrder, ServiceConfig, ShardService};

@@ -1,4 +1,4 @@
-//! The round coordinator: the service front the selection loop drives.
+//! The round coordinator: the service's front for one platform round.
 //!
 //! A [`ShardService`] owns the bounded [`WorkQueue`](crate::WorkQueue) and
 //! the executor pool. One Algorithm-4 round flows through it as:
@@ -26,13 +26,6 @@ use c4u_crowd_sim::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Environment knob naming the executor-thread count (see
-/// [`ServiceConfig::from_env`]; registered in the [`c4u_env`] knob table).
-pub const ENV_EXECUTORS: &str = c4u_env::names::SERVICE_EXECUTORS;
-/// Environment knob naming the queue capacity (see
-/// [`ServiceConfig::from_env`]; registered in the [`c4u_env`] knob table).
-pub const ENV_QUEUE: &str = c4u_env::names::SERVICE_QUEUE;
 
 /// Configuration of a [`ShardService`]. Plain data — two services built from
 /// equal configs behave identically.
@@ -68,22 +61,6 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Reads `C4U_SERVICE_EXECUTORS` (executor threads) and
-    /// `C4U_SERVICE_QUEUE` (queue capacity, 0 = unbounded) over the defaults,
-    /// through the [`c4u_env`] registry snapshot. Unset or unparsable values
-    /// keep the default.
-    pub fn from_env() -> Self {
-        let env = c4u_env::C4uEnv::from_env();
-        let mut config = Self::default();
-        if let Some(executors) = env.service_executors {
-            config.executors = executors.max(1);
-        }
-        if let Some(queue) = env.service_queue {
-            config.queue_capacity = queue;
-        }
-        config
-    }
-
     /// Builder: sets the executor-thread count.
     pub fn with_executors(mut self, executors: usize) -> Self {
         self.executors = executors;
@@ -285,10 +262,11 @@ mod tests {
         assert_eq!(config.delivery, DeliveryOrder::Reversed);
         assert_eq!(config.enqueue_timeout, Some(Duration::from_millis(5)));
         assert_eq!(config.max_requeues, 1);
-        // Without the env vars set, from_env is the default config.
-        if std::env::var(ENV_EXECUTORS).is_err() && std::env::var(ENV_QUEUE).is_err() {
-            assert_eq!(ServiceConfig::from_env(), ServiceConfig::default());
-        }
+        // The default is one executor over an unbounded queue.
+        let default = ServiceConfig::default();
+        assert_eq!(default.executors, 1);
+        assert_eq!(default.queue_capacity, 0);
+        assert_eq!(default.delivery, DeliveryOrder::Immediate);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! ([`TcpTransport`] / [`TcpShardServer`]). Responses are merged back by
 //! shard slot and committed to the platform.
 //!
-//! The contract, pinned by `tests/service_equivalence.rs` at the workspace
-//! root: every executor count, queue capacity, transport, completion order,
+//! The contract, pinned by this crate's `service_equivalence` test suite:
+//! every executor count, queue capacity, transport, completion order,
 //! and injected delay produces rounds **bit-for-bit identical** to
 //! [`Platform::assign_learning_batch_sharded`](c4u_crowd_sim::Platform::assign_learning_batch_sharded)
 //! and
@@ -54,7 +54,7 @@ mod transport;
 pub use codec::{
     decode_frame, encode_frame, header_payload_len, CodecError, Frame, HEADER_LEN, MAGIC, VERSION,
 };
-pub use coordinator::{ServiceConfig, ShardService, ENV_EXECUTORS, ENV_QUEUE};
+pub use coordinator::{ServiceConfig, ShardService};
 pub use error::ServiceError;
 pub use pool::DeliveryOrder;
 pub use queue::WorkQueue;

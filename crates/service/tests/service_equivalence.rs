@@ -1,19 +1,17 @@
 //! Service vs. in-process equivalence: for a fixed platform seed, the
 //! asynchronous shard service must be invisible in every observable output.
 //!
-//! `tests/shard_equivalence.rs` pins that the worker-range *sharding layout*
-//! carries no entropy; this suite extends the same pin across the *transport*:
-//! a [`ShardService`] answering rounds on an executor pool behind a bounded
-//! work queue must produce
+//! The workspace's `tests/shard_equivalence.rs` pins that the worker-range
+//! *sharding layout* carries no entropy; this suite extends the same pin
+//! across the *transport*: a [`ShardService`] answering rounds on an executor
+//! pool behind a bounded work queue must produce
 //!
 //! * **bit-for-bit** identical [`RoundRecord`]s to
 //!   [`Platform::assign_learning_batch_sharded`] for every executor count,
 //!   queue capacity, transport (in-process, codec loopback, TCP socket), and
 //!   response completion order — including adversarial schedulers that
 //!   reverse or shuffle response arrival;
-//! * identical working-accuracy evaluations (exact `f64` bits);
-//! * identical selector reports and end-to-end evaluations when the round
-//!   loop is driven through the [`SelectorConfig`] service knobs.
+//! * identical working-accuracy evaluations (exact `f64` bits) and budgets.
 //!
 //! These are exact `==` assertions, not tolerance checks: the service is an
 //! execution-placement knob, never a numerical one.
@@ -21,7 +19,6 @@
 use c4u_crowd_sim::{
     generate, DatasetConfig, InProcessExecutor, Platform, RoundRecord, WorkerShards,
 };
-use c4u_selection::{evaluate_strategy, CrossDomainSelector, SelectorConfig};
 use c4u_service::{
     DeliveryOrder, LocalTransport, ServiceConfig, ShardService, TcpShardServer, WireTransport,
 };
@@ -164,84 +161,4 @@ fn tcp_transport_is_invisible() {
     assert_eq!(via_tcp.0, reference.0);
     assert_eq!(via_tcp.1.to_bits(), reference.1.to_bits());
     assert_eq!(via_tcp.2, reference.2);
-}
-
-fn fast_config(num_shards: usize) -> SelectorConfig {
-    let mut config = SelectorConfig::default().with_num_shards(num_shards);
-    config.cpe.epochs = 5;
-    config
-}
-
-#[test]
-fn selector_reports_are_identical_through_the_service() {
-    let dataset = generate(&DatasetConfig::rw1()).unwrap();
-    let reference = {
-        let mut platform = Platform::from_dataset(&dataset, 7).unwrap();
-        CrossDomainSelector::new(fast_config(3))
-            .run(&mut platform, 7)
-            .unwrap()
-    };
-    // One representative service layout per executor count, covering every
-    // queue capacity and every delivery order across the matrix.
-    let layouts = [
-        (1, 1, DeliveryOrder::Immediate),
-        (3, 4, DeliveryOrder::Reversed),
-        (16, 0, DeliveryOrder::Shuffled(9)),
-    ];
-    for (executors, queue, delivery) in layouts {
-        let mut platform = Platform::from_dataset(&dataset, 7).unwrap();
-        let report = CrossDomainSelector::new(
-            fast_config(3)
-                .with_service_executors(executors)
-                .with_service_queue(queue)
-                .with_service_delivery(delivery),
-        )
-        .run(&mut platform, 7)
-        .unwrap();
-        let context = format!("{executors} executors, queue {queue}, {delivery:?}");
-        // Selection, ranking scores, budget: exact.
-        assert_eq!(
-            report.outcome.selected, reference.outcome.selected,
-            "{context}"
-        );
-        assert_eq!(report.outcome.scores, reference.outcome.scores, "{context}");
-        assert_eq!(report.outcome.budget_spent, reference.outcome.budget_spent);
-        assert_eq!(report.outcome.rounds, reference.outcome.rounds);
-        // Per-round diagnostics (entered/survived sets, every static and
-        // dynamic estimate): exact.
-        assert_eq!(report.rounds, reference.rounds, "{context}");
-        assert_eq!(report.target_correlations, reference.target_correlations);
-    }
-}
-
-#[test]
-fn end_to_end_evaluation_is_identical_through_the_service() {
-    // evaluate_strategy covers the remaining seam: the post-selection working
-    // evaluation on the same platform the service-driven selector advanced.
-    let dataset = generate(&DatasetConfig::rw1()).unwrap();
-    let reference = {
-        let selector = CrossDomainSelector::new(fast_config(2));
-        evaluate_strategy(&dataset, &selector, 42).unwrap()
-    };
-    for executors in EXECUTOR_COUNTS {
-        let selector = CrossDomainSelector::new(fast_config(2).with_service_executors(executors));
-        let result = evaluate_strategy(&dataset, &selector, 42).unwrap();
-        assert_eq!(result.selected, reference.selected, "{executors} executors");
-        assert_eq!(
-            result.working_accuracy, reference.working_accuracy,
-            "{executors} executors"
-        );
-        assert_eq!(result.expected_accuracy, reference.expected_accuracy);
-        assert_eq!(result.budget_spent, reference.budget_spent);
-    }
-}
-
-#[test]
-fn default_config_stays_in_process() {
-    // The service knobs default off: the round loop answers in-process, and a
-    // zero executor knob means "no service", never an error.
-    let config = SelectorConfig::default();
-    assert_eq!(config.service_executors, 0);
-    assert_eq!(config.service_queue, 0);
-    assert_eq!(config.service_delivery, DeliveryOrder::Immediate);
 }

@@ -34,3 +34,23 @@ pub use c4u_linalg as linalg;
 pub use c4u_optim as optim;
 pub use c4u_selection as selection;
 pub use c4u_stats as stats;
+
+#[cfg(test)]
+mod tests {
+    /// README's knob table is `c4u_env::render_knob_table()` byte for byte,
+    /// so adding, removing or rewording a knob without regenerating the
+    /// README fails here.
+    #[test]
+    fn readme_knob_table_is_the_rendered_registry() {
+        let readme = include_str!("../README.md");
+        let start = readme
+            .find("| Variable | Kind | Default | Effect |")
+            .expect("README has a knob table");
+        let table: String = readme[start..]
+            .lines()
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!(table, c4u_env::render_knob_table());
+    }
+}
