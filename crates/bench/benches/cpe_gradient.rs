@@ -2,8 +2,13 @@
 //! finite-difference stencil it replaced as the default.
 //!
 //! Runs the full `CrossDomainEstimator::update()` through both
-//! `CpeGradient::Analytic` and `CpeGradient::FiniteDifference` on synthetic
-//! pools of 64 and 256 workers spread over four missing-domain masks.
+//! `CpeGradient::Analytic` and `CpeGradient::FiniteDifference` on two kinds of
+//! synthetic pool of 64 and 256 workers over four missing-domain masks:
+//! `distinct`, whose profiles vary continuously so that only the all-missing
+//! mask's workers share cells, and `lattice`, whose profiles are multiples of
+//! `1/20` and whose answer counts repeat, so workers share
+//! `(profile, correct, wrong)` cells as in a real pool and the kernel's
+//! per-distinct-cell evaluation pays.
 //! Alongside wall-clock, it reports the *observed-block factorisation counts*
 //! per `update()` — one per unique mask per likelihood sweep, so the counts
 //! read directly as likelihood sweeps per epoch: `2 x (D+1)(D+4)/2` for the
@@ -19,35 +24,59 @@
 
 use c4u_bench::cpe_epochs;
 use c4u_crowd_sim::HistoricalProfile;
-use c4u_selection::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator};
+use c4u_selection::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator, MaskGroups};
 use c4u_stats::{conditioning_factorizations, reset_conditioning_factorizations};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 const NUM_DOMAINS: usize = 3;
+const POOLS: [Pool; 2] = [Pool::Distinct, Pool::Lattice];
 
-/// Deterministic synthetic pool: `workers` observations spread over four
-/// missing-domain masks (fully observed, two partial, all missing).
-fn make_observations(workers: usize) -> Vec<CpeObservation> {
-    const MASKS: [[bool; NUM_DOMAINS]; 4] = [
-        [true, true, true],
-        [true, false, true],
-        [false, true, false],
-        [false, false, false],
-    ];
-    (0..workers)
-        .map(|w| {
-            let mask = MASKS[w % MASKS.len()];
-            let base = 0.25 + 0.5 * (w as f64 / workers.max(1) as f64);
-            CpeObservation {
-                prior_accuracies: (0..NUM_DOMAINS)
-                    .map(|d| mask[d].then_some((base + 0.07 * d as f64).clamp(0.05, 0.95)))
-                    .collect(),
-                correct: 2 + (w * 7) % 8,
-                wrong: 10 - (2 + (w * 7) % 8),
-            }
-        })
-        .collect()
+const MASKS: [[bool; NUM_DOMAINS]; 4] = [
+    [true, true, true],
+    [true, false, true],
+    [false, true, false],
+    [false, false, false],
+];
+
+/// One pool shape: how worker `w` of `workers` gets its profile base.
+#[derive(Clone, Copy)]
+enum Pool {
+    /// The base varies continuously per worker: no two workers with an
+    /// observed domain share a cell.
+    Distinct,
+    /// The base is one of five multiples of `1/20`: workers share cells.
+    Lattice,
+}
+
+impl Pool {
+    fn name(self) -> &'static str {
+        match self {
+            Pool::Distinct => "distinct",
+            Pool::Lattice => "lattice",
+        }
+    }
+
+    /// Deterministic synthetic pool: `workers` observations spread over four
+    /// missing-domain masks (fully observed, two partial, all missing).
+    fn observations(self, workers: usize) -> Vec<CpeObservation> {
+        (0..workers)
+            .map(|w| {
+                let mask = MASKS[w % MASKS.len()];
+                let (base, step) = match self {
+                    Pool::Distinct => (0.25 + 0.5 * (w as f64 / workers.max(1) as f64), 0.07),
+                    Pool::Lattice => ((6 + (w / MASKS.len()) % 5 * 2) as f64 / 20.0, 0.05),
+                };
+                CpeObservation {
+                    prior_accuracies: (0..NUM_DOMAINS)
+                        .map(|d| mask[d].then_some((base + step * d as f64).clamp(0.05, 0.95)))
+                        .collect(),
+                    correct: 2 + (w * 7) % 8,
+                    wrong: 10 - (2 + (w * 7) % 8),
+                }
+            })
+            .collect()
+    }
 }
 
 fn make_estimator(config: CpeConfig) -> CrossDomainEstimator {
@@ -86,12 +115,12 @@ fn bench_cpe_gradient(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3));
-    for workers in [64usize, 256] {
-        let observations = make_observations(workers);
+    for (pool, workers) in POOLS.into_iter().flat_map(|p| [(p, 64usize), (p, 256)]) {
+        let observations = pool.observations(workers);
         for (name, oracle) in oracles {
             let config = bench_config(epochs, oracle);
             group.bench_with_input(
-                BenchmarkId::new(name, workers),
+                BenchmarkId::new(format!("{name}/{}", pool.name()), workers),
                 &observations,
                 |b, observations| {
                     let est = make_estimator(config);
@@ -110,11 +139,12 @@ fn bench_cpe_gradient(c: &mut Criterion) {
     // non-empty mask, so the factorisation counter reads directly as sweeps.
     println!("\nLikelihood sweeps per update() (epochs = {epochs}, via factorisation counts):");
     println!(
-        "  {:>8} {:>18} {:>12} {:>8}",
-        "workers", "finite-difference", "analytic", "ratio"
+        "  {:>8} {:>8} {:>6} {:>18} {:>12} {:>8}",
+        "pool", "workers", "cells", "finite-difference", "analytic", "ratio"
     );
-    for workers in [64usize, 256] {
-        let observations = make_observations(workers);
+    for (pool, workers) in POOLS.into_iter().flat_map(|p| [(p, 64usize), (p, 256)]) {
+        let observations = pool.observations(workers);
+        let cells = MaskGroups::build(&observations, NUM_DOMAINS).num_unique_cells();
         let mut counts = [0u64; 2];
         let mut means = [0.0f64; 2];
         for (slot, (_, oracle)) in oracles.iter().enumerate() {
@@ -134,8 +164,10 @@ fn bench_cpe_gradient(c: &mut Criterion) {
             means[1]
         );
         println!(
-            "  {:>8} {:>18} {:>12} {:>7.1}x",
+            "  {:>8} {:>8} {:>6} {:>18} {:>12} {:>7.1}x",
+            pool.name(),
             workers,
+            cells,
             fd,
             analytic,
             fd as f64 / analytic.max(1) as f64

@@ -329,10 +329,13 @@ impl CrossDomainEstimator {
     /// the negative marginal log-likelihood, with separate learning rates for the
     /// mean and covariance parameters and a PSD projection after every step.
     ///
-    /// The observations are mask-grouped **once** at entry; every objective
-    /// evaluation of the gradient oracle then factorises one conditioner per
-    /// unique missing-domain mask instead of one per worker, which is where the
-    /// `O(workers / unique_masks)` speedup of the batched kernel comes from.
+    /// The observations are mask-grouped **once** at entry, and within each
+    /// mask their distinct profiles and distinct `(profile, correct, wrong)`
+    /// cells are numbered. Every objective evaluation of the gradient oracle
+    /// then factorises one conditioner per unique missing-domain mask, and
+    /// runs one solve per distinct profile and one sweep cell per distinct
+    /// cell, per epoch. Members sharing a cell share its bits, so the result
+    /// is the per-worker loop's, bit for bit.
     pub fn update(&mut self, observations: &[CpeObservation]) -> Result<(), SelectionError> {
         if observations.is_empty() {
             return Ok(());
@@ -342,8 +345,9 @@ impl CrossDomainEstimator {
         let n_cov = (d + 1) * (d + 2) / 2;
         // Field-level borrow: the epoch loop below mutates `mean`/`covariance`,
         // which are disjoint from the quadrature the kernel holds. One kernel
-        // serves every epoch, so its scratch buffers are grown once and reused
-        // by all `epochs x unique_masks` sweeps.
+        // serves every epoch, so its profile/cell tables are built once and
+        // its scratch buffers are grown once and reused by all
+        // `epochs x unique_masks` sweeps.
         let kernel = CpeLikelihoodKernel::new_with_math(
             observations,
             d,

@@ -9,7 +9,7 @@
 //! the per-observation loop the estimator historically ran repeated the same
 //! factorisation once per worker, per parameter perturbation, per epoch.
 //!
-//! [`CpeLikelihoodKernel`] restructures that hot path in three layers:
+//! [`CpeLikelihoodKernel`] restructures that hot path in four layers:
 //!
 //! 1. [`MaskGroups`] — built once per `update()`/`predict_batch()` entry, it
 //!    partitions the observations by observed-domain mask (first-occurrence
@@ -17,26 +17,36 @@
 //!    observed values;
 //! 2. per model evaluation, the kernel asks the model for **one**
 //!    [`Conditioner`](c4u_stats::Conditioner) per unique mask and applies it to
-//!    every member of the group — an `O(g^2)` triangular solve per worker
-//!    instead of an `O(g^3)` factorisation per worker;
+//!    the group's profiles — an `O(g^2)` triangular solve instead of an
+//!    `O(g^3)` factorisation per worker;
 //! 3. the Eq. 5 normalisers and Eq. 8 posterior means of a whole group are
 //!    computed by **one** batched structure-of-arrays quadrature sweep per
 //!    unique mask ([`c4u_stats::BinomialNormalBatch`], node tables built once
 //!    per kernel), not one scalar `binomial_normal_moments` /
-//!    `binomial_normal_log_z` call per worker.
+//!    `binomial_normal_log_z` call per worker;
+//! 4. within a group, the same build also numbers the **distinct profiles**
+//!    (observed values compared by [`f64::to_bits`]) and the **distinct
+//!    cells** `(profile, correct, wrong)`. Profiles are multiples of
+//!    `1 / prior_tasks_per_domain` and answer counts are small integers, so
+//!    thousands of workers share a cell. Each model evaluation runs one
+//!    conditioning solve per distinct profile and one sweep cell per distinct
+//!    cell, then fans the results out to the members in their original order.
 //!
 //! The factorisation count per `update()` therefore drops from
 //! `O(epochs x params x workers)` to `O(epochs x params x unique_masks)` —
 //! and with the closed-form Eq. 6–7 oracle of the [`gradient`] sub-layer (the
 //! default), the `params` factor disappears entirely: one vectorised sweep
-//! per unique mask per epoch. The batched-sweep count obeys the same contract
-//! (`O(unique_masks)` per likelihood or prediction pass, pinned by
-//! `tests/quadrature_batching.rs` through the `c4u_stats` sweep counters).
+//! per unique mask per epoch, over that mask's distinct cells. The
+//! batched-sweep count obeys the same contract (`O(unique_masks)` per
+//! likelihood or prediction pass, pinned by `tests/quadrature_batching.rs`
+//! through the `c4u_stats` sweep counters).
 //! Results are **bit-for-bit identical** to the per-observation loop: the
 //! cached factorisation and the batched sweep perform exactly the same
-//! floating-point operations, per-observation terms are accumulated in the
-//! original observation order, and `tests/kernel_equivalence.rs` pins this
-//! against a literal transcription of the historical code.
+//! floating-point operations, every solve and every sweep cell is a pure
+//! function of its own inputs (so members sharing a cell share its bits),
+//! per-observation terms are accumulated in the original observation order,
+//! and `tests/kernel_equivalence.rs` pins this against a literal transcription
+//! of the historical code, including on a heavily duplicated quantised pool.
 //!
 //! ## Usage
 //!
@@ -83,12 +93,32 @@ use c4u_stats::{
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// The observations sharing one observed-domain mask.
+/// The observations sharing one observed-domain mask, with the distinct
+/// profiles and distinct `(profile, correct, wrong)` cells among them.
+///
+/// Profiles are keyed on the [`f64::to_bits`] of the observed values, so two
+/// members share a profile exactly when every conditioning input is the same
+/// bit pattern; a cell adds the member's answer counts, so two members share a
+/// cell exactly when every quadrature input is the same. Both are numbered in
+/// first-occurrence order over the members.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaskGroup {
     observed_idx: Vec<usize>,
     members: Vec<usize>,
     values: Vec<Vec<f64>>,
+    /// Per member: index of its distinct profile.
+    profile_of: Vec<usize>,
+    /// Per member: index of its distinct cell.
+    cell_of: Vec<usize>,
+    /// Per distinct profile: the first member (position in
+    /// [`MaskGroup::members`]) that holds it.
+    profile_first: Vec<usize>,
+    /// Per distinct cell: its profile index.
+    cell_profile: Vec<usize>,
+    /// Per distinct cell: its correct-answer count, as the sweep consumes it.
+    cell_correct: Vec<f64>,
+    /// Per distinct cell: its wrong-answer count, as the sweep consumes it.
+    cell_wrong: Vec<f64>,
 }
 
 impl MaskGroup {
@@ -107,6 +137,37 @@ impl MaskGroup {
     pub fn values(&self) -> &[Vec<f64>] {
         &self.values
     }
+
+    /// Each member's distinct-profile index, aligned with
+    /// [`MaskGroup::members`] (profiles numbered in first-occurrence order).
+    pub fn profile_of(&self) -> &[usize] {
+        &self.profile_of
+    }
+
+    /// Each member's distinct-cell index, aligned with [`MaskGroup::members`]
+    /// (cells numbered in first-occurrence order).
+    pub fn cell_of(&self) -> &[usize] {
+        &self.cell_of
+    }
+
+    /// Number of distinct observed-value profiles in the group: the number of
+    /// conditioning solves one model evaluation spends on it.
+    pub fn num_profiles(&self) -> usize {
+        self.profile_first.len()
+    }
+
+    /// Number of distinct `(profile, correct, wrong)` cells in the group: the
+    /// number of quadrature cells one likelihood sweep spends on it.
+    pub fn num_cells(&self) -> usize {
+        self.cell_profile.len()
+    }
+
+    /// The observed values of each distinct profile, in profile order.
+    fn profile_values(&self) -> impl Iterator<Item = &[f64]> {
+        self.profile_first
+            .iter()
+            .map(|&member| self.values[member].as_slice())
+    }
 }
 
 /// A partition of a set of [`CpeObservation`]s by observed-domain mask.
@@ -117,25 +178,53 @@ pub struct MaskGroups {
 }
 
 impl MaskGroups {
-    /// Groups the observations by which prior domains they have a record on.
+    /// Groups the observations by which prior domains they have a record on,
+    /// and within each group numbers the distinct profiles and cells.
     ///
-    /// Groups appear in order of first occurrence, and members keep their
-    /// original relative order, so downstream iteration is deterministic.
+    /// Groups, profiles and cells appear in order of first occurrence, and
+    /// members keep their original relative order, so downstream iteration is
+    /// deterministic.
     pub fn build(observations: &[CpeObservation], num_domains: usize) -> Self {
         let mut groups: Vec<MaskGroup> = Vec::new();
+        // Lookup tables only, never iterated: numbering comes from the vectors.
         let mut index_of: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut profile_index: HashMap<(usize, Vec<u64>), usize> = HashMap::new();
+        let mut cell_index: HashMap<(usize, usize, usize, usize), usize> = HashMap::new();
         for (position, obs) in observations.iter().enumerate() {
             let (idx, values) = observed_domains(obs, num_domains);
-            let group = *index_of.entry(idx).or_insert_with_key(|idx| {
+            let g = *index_of.entry(idx).or_insert_with_key(|idx| {
                 groups.push(MaskGroup {
                     observed_idx: idx.clone(),
                     members: Vec::new(),
                     values: Vec::new(),
+                    profile_of: Vec::new(),
+                    cell_of: Vec::new(),
+                    profile_first: Vec::new(),
+                    cell_profile: Vec::new(),
+                    cell_correct: Vec::new(),
+                    cell_wrong: Vec::new(),
                 });
                 groups.len() - 1
             });
-            groups[group].members.push(position);
-            groups[group].values.push(values);
+            let group = &mut groups[g];
+            let member = group.members.len();
+            let bits = values.iter().map(|v| v.to_bits()).collect();
+            let profile = *profile_index.entry((g, bits)).or_insert_with(|| {
+                group.profile_first.push(member);
+                group.profile_first.len() - 1
+            });
+            let cell = *cell_index
+                .entry((g, profile, obs.correct, obs.wrong))
+                .or_insert_with(|| {
+                    group.cell_profile.push(profile);
+                    group.cell_correct.push(obs.correct as f64);
+                    group.cell_wrong.push(obs.wrong as f64);
+                    group.cell_profile.len() - 1
+                });
+            group.members.push(position);
+            group.values.push(values);
+            group.profile_of.push(profile);
+            group.cell_of.push(cell);
         }
         Self {
             groups,
@@ -151,6 +240,12 @@ impl MaskGroups {
     /// Number of distinct observed-domain masks.
     pub fn num_unique_masks(&self) -> usize {
         self.groups.len()
+    }
+
+    /// Number of distinct `(mask, profile, correct, wrong)` cells over all
+    /// groups: the quadrature cells one likelihood pass sweeps.
+    pub fn num_unique_cells(&self) -> usize {
+        self.groups.iter().map(MaskGroup::num_cells).sum()
     }
 
     /// Number of observations that were grouped.
@@ -176,10 +271,6 @@ pub struct CpeLikelihoodKernel<'a> {
     /// likelihood, prediction and gradient paths (the rule itself is no longer
     /// needed afterwards — every sweep runs over these tables).
     batch: BinomialNormalBatch,
-    /// Per-group `(correct, wrong)` counts as flat `f64` arrays aligned with
-    /// each group's members — the model-independent half of the batched-sweep
-    /// inputs, precomputed once per kernel.
-    counts: Vec<GroupCounts>,
     /// Reused per-sweep buffers (conditional means, sweep outputs, quadrature
     /// node scratch), shared by the likelihood, prediction and gradient paths.
     /// Behind a `RefCell` because every evaluation entry point takes `&self`;
@@ -196,30 +287,24 @@ pub struct CpeLikelihoodKernel<'a> {
 struct KernelScratch {
     /// Node-sized scratch of the batched quadrature sweeps.
     quad: QuadratureScratch,
-    /// Per-member conditional means of the current group.
+    /// Per-profile conditional means of the current group.
+    profile_mu: Vec<f64>,
+    /// Per-cell conditional means of the current group (the sweep input).
     mu: Vec<f64>,
-    /// Per-member `log Z` sweep output.
+    /// Per-cell (or, posterior-free, per-profile) `log Z` sweep output.
     log_z: Vec<f64>,
-    /// Per-member posterior-mean sweep output (prediction path).
+    /// Per-cell (or per-profile) posterior-mean sweep output (prediction path).
     mean: Vec<f64>,
     /// All-zero counts stand-in for posterior-free prediction.
     zeros: Vec<f64>,
-    /// Per-member `(mu, correct, wrong)` triples (gradient path).
+    /// Per-cell `(mu, correct, wrong)` triples (gradient path).
     obs: Vec<(f64, f64, f64)>,
-    /// Per-member `log Z` gradients (gradient path).
+    /// Per-cell `log Z` gradients (gradient path).
     grads: Vec<LogZGradient>,
-    /// Per-member observed-block solves `w_i` (gradient path).
+    /// Per-profile observed-block solves `w` (gradient path).
     solves: Vec<Vector>,
     /// Group-level `Σ_i (∂L/∂m_i) w_i` accumulator (gradient path).
     dm_w: Vec<f64>,
-}
-
-/// The model-independent per-member answer counts of one mask group, laid out
-/// for the batched quadrature sweep.
-#[derive(Debug, Clone)]
-struct GroupCounts {
-    correct: Vec<f64>,
-    wrong: Vec<f64>,
 }
 
 impl<'a> CpeLikelihoodKernel<'a> {
@@ -252,29 +337,11 @@ impl<'a> CpeLikelihoodKernel<'a> {
         quadrature: &'a GaussLegendre,
         math: QuadratureMath,
     ) -> Self {
-        let groups = MaskGroups::build(observations, num_prior_domains);
-        let counts = groups
-            .groups()
-            .iter()
-            .map(|group| GroupCounts {
-                correct: group
-                    .members()
-                    .iter()
-                    .map(|&p| observations[p].correct as f64)
-                    .collect(),
-                wrong: group
-                    .members()
-                    .iter()
-                    .map(|&p| observations[p].wrong as f64)
-                    .collect(),
-            })
-            .collect();
         Self {
             observations,
-            groups,
+            groups: MaskGroups::build(observations, num_prior_domains),
             target: num_prior_domains,
             batch: BinomialNormalBatch::new_with_math(quadrature, math),
-            counts,
             scratch: RefCell::new(KernelScratch::default()),
         }
     }
@@ -286,7 +353,8 @@ impl<'a> CpeLikelihoodKernel<'a> {
 
     /// Marginal log-likelihood of every observation under `model` (one `log Z`
     /// of Eq. 5 per observation, in original observation order): one batched
-    /// log-Z sweep over the shared node tables per unique mask.
+    /// log-Z sweep over the shared node tables per unique mask, one sweep cell
+    /// per distinct cell.
     pub fn per_observation_log_likelihood(
         &self,
         model: &MultivariateNormal,
@@ -294,8 +362,9 @@ impl<'a> CpeLikelihoodKernel<'a> {
         let mut out = vec![0.0; self.observations.len()];
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
-        for (group, counts) in self.groups.groups().iter().zip(&self.counts) {
-            let sigma = self.conditional_means(model, group, &mut s.mu)?;
+        for group in self.groups.groups() {
+            let sigma = self.conditional_means(model, group, &mut s.profile_mu)?;
+            gather(&group.cell_profile, &s.profile_mu, &mut s.mu);
             s.log_z.clear();
             s.log_z.resize(s.mu.len(), 0.0);
             // log-Z only: the posterior-mean integral is prediction-side work,
@@ -304,13 +373,13 @@ impl<'a> CpeLikelihoodKernel<'a> {
             self.batch.log_z_with_scratch(
                 sigma,
                 &s.mu,
-                &counts.correct,
-                &counts.wrong,
+                &group.cell_correct,
+                &group.cell_wrong,
                 &mut s.log_z,
                 &mut s.quad,
             );
-            for (&position, &lz) in group.members().iter().zip(&s.log_z) {
-                out[position] = lz;
+            for (&position, &cell) in group.members().iter().zip(group.cell_of()) {
+                out[position] = s.log_z[cell];
             }
         }
         Ok(out)
@@ -332,7 +401,8 @@ impl<'a> CpeLikelihoodKernel<'a> {
     /// original observation order.
     ///
     /// With `use_posterior` the posterior incorporates the worker's observed
-    /// correct/wrong counts; otherwise only the cross-domain conditional.
+    /// correct/wrong counts (one sweep cell per distinct cell); otherwise only
+    /// the cross-domain conditional (one sweep cell per distinct profile).
     pub fn predict(
         &self,
         model: &MultivariateNormal,
@@ -341,31 +411,36 @@ impl<'a> CpeLikelihoodKernel<'a> {
         let mut out = vec![0.0; self.observations.len()];
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
-        for (group, counts) in self.groups.groups().iter().zip(&self.counts) {
-            let sigma = self.conditional_means(model, group, &mut s.mu)?;
-            s.log_z.clear();
-            s.log_z.resize(s.mu.len(), 0.0);
-            s.mean.clear();
-            s.mean.resize(s.mu.len(), 0.0);
-            let (c, x): (&[f64], &[f64]) = if use_posterior {
-                (&counts.correct, &counts.wrong)
+        for group in self.groups.groups() {
+            let sigma = self.conditional_means(model, group, &mut s.profile_mu)?;
+            let (mu, c, x, slot_of): (&[f64], &[f64], &[f64], &[usize]) = if use_posterior {
+                gather(&group.cell_profile, &s.profile_mu, &mut s.mu);
+                (
+                    &s.mu,
+                    &group.cell_correct,
+                    &group.cell_wrong,
+                    group.cell_of(),
+                )
             } else {
                 s.zeros.clear();
-                s.zeros.resize(s.mu.len(), 0.0);
-                (&s.zeros, &s.zeros)
+                s.zeros.resize(s.profile_mu.len(), 0.0);
+                (&s.profile_mu, &s.zeros, &s.zeros, group.profile_of())
             };
+            s.log_z.clear();
+            s.log_z.resize(mu.len(), 0.0);
+            s.mean.clear();
+            s.mean.resize(mu.len(), 0.0);
             self.batch.moments_with_scratch(
                 sigma,
-                &s.mu,
+                mu,
                 c,
                 x,
                 &mut s.log_z,
                 &mut s.mean,
                 &mut s.quad,
             );
-            for ((&position, &lz), &posterior_mean) in
-                group.members().iter().zip(&s.log_z).zip(&s.mean)
-            {
+            for (&position, &slot) in group.members().iter().zip(slot_of) {
+                let (lz, posterior_mean) = (s.log_z[slot], s.mean[slot]);
                 if !lz.is_finite() || !posterior_mean.is_finite() {
                     return Err(SelectionError::Numerical(
                         "CPE prediction integral did not converge".to_string(),
@@ -378,10 +453,10 @@ impl<'a> CpeLikelihoodKernel<'a> {
     }
 
     /// Conditions `model` on one group's mask: **one** [`Conditioner`] per
-    /// unique mask, one `O(g^2)` triangular solve per member. The per-member
-    /// conditional means land in `mu` (cleared first); the returned value is
-    /// the group's shared conditional standard deviation (value-independent,
-    /// and bit-identical to the historical per-member
+    /// unique mask, one `O(g^2)` triangular solve per distinct profile. The
+    /// per-profile conditional means land in `mu` (cleared first); the
+    /// returned value is the group's shared conditional standard deviation
+    /// (value-independent, and bit-identical to the historical per-member
     /// `Conditional1D::std_dev()` — both are `conditioner.variance().sqrt()`).
     fn conditional_means(
         &self,
@@ -392,11 +467,18 @@ impl<'a> CpeLikelihoodKernel<'a> {
         let conditioner: Conditioner = model.conditioner(self.target, group.observed_idx())?;
         let sigma = conditioner.variance().sqrt();
         mu.clear();
-        for values in group.values() {
+        for values in group.profile_values() {
             mu.push(conditioner.condition(values)?.mean);
         }
         Ok(sigma)
     }
+}
+
+/// Fills `out` with `per_profile[profile]` for each cell's profile index: the
+/// per-cell sweep inputs of a group.
+fn gather(cell_profile: &[usize], per_profile: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(cell_profile.iter().map(|&p| per_profile[p]));
 }
 
 /// Splits an observation into the indices and values of the domains that are
@@ -447,20 +529,63 @@ mod tests {
             obs(&[Some(0.6), Some(0.7), Some(0.5)], 8, 2),
             obs(&[None, None, None], 1, 9),
             obs(&[Some(0.2), None, Some(0.3)], 2, 8),
+            // Duplicates: same profile and counts as position 0 (same cell),
+            // same profile as position 2 with other counts (new cell), and
+            // the all-missing profile again with other counts.
+            obs(&[Some(0.9), Some(0.8), Some(0.7)], 5, 5),
+            obs(&[Some(0.6), Some(0.7), Some(0.5)], 7, 3),
+            obs(&[None, None, None], 2, 8),
+            obs(&[Some(0.5), None, Some(0.4)], 3, 7),
+            obs(&[None, None, None], 1, 9),
         ];
         let groups = MaskGroups::build(&observations, 3);
-        assert_eq!(groups.num_observations(), 5);
+        assert_eq!(groups.num_observations(), 10);
         assert_eq!(groups.num_unique_masks(), 3);
         // First-occurrence order.
         assert_eq!(groups.groups()[0].observed_idx(), &[0, 1, 2]);
         assert_eq!(groups.groups()[1].observed_idx(), &[0, 2]);
         assert_eq!(groups.groups()[2].observed_idx(), &[] as &[usize]);
         // Members keep their original order and values.
-        assert_eq!(groups.groups()[0].members(), &[0, 2]);
-        assert_eq!(groups.groups()[1].members(), &[1, 4]);
+        assert_eq!(groups.groups()[0].members(), &[0, 2, 5, 6]);
+        assert_eq!(groups.groups()[1].members(), &[1, 4, 8]);
         assert_eq!(groups.groups()[1].values()[1], vec![0.2, 0.3]);
-        assert_eq!(groups.groups()[2].members(), &[3]);
+        assert_eq!(groups.groups()[2].members(), &[3, 7, 9]);
         assert!(groups.groups()[2].values()[0].is_empty());
+        // Distinct profiles and cells, numbered in first-occurrence order.
+        let full = &groups.groups()[0];
+        assert_eq!((full.num_profiles(), full.num_cells()), (2, 3));
+        assert_eq!(full.profile_of(), &[0, 1, 0, 1]);
+        assert_eq!(full.cell_of(), &[0, 1, 0, 2]);
+        assert_eq!(full.cell_correct, vec![5.0, 8.0, 7.0]);
+        let partial = &groups.groups()[1];
+        assert_eq!((partial.num_profiles(), partial.num_cells()), (2, 2));
+        assert_eq!(partial.profile_of(), &[0, 1, 0]);
+        assert_eq!(partial.cell_of(), &[0, 1, 0]);
+        let missing = &groups.groups()[2];
+        assert_eq!((missing.num_profiles(), missing.num_cells()), (1, 2));
+        assert_eq!(missing.profile_of(), &[0, 0, 0]);
+        assert_eq!(missing.cell_of(), &[0, 1, 0]);
+        assert_eq!(missing.cell_wrong, vec![9.0, 8.0]);
+        assert_eq!(groups.num_unique_cells(), 7);
+    }
+
+    #[test]
+    fn profiles_are_keyed_on_value_bits() {
+        // 0.1 + 0.2 and 0.3 differ in the last bit, and +0.0 and -0.0 in the
+        // sign bit: each pair is two profiles, since a shared profile must
+        // give every member the same conditioning input bit for bit.
+        let observations = vec![
+            obs(&[Some(0.1 + 0.2)], 1, 1),
+            obs(&[Some(0.3)], 1, 1),
+            obs(&[Some(0.0)], 1, 1),
+            obs(&[Some(-0.0)], 1, 1),
+            obs(&[Some(0.3)], 1, 1),
+        ];
+        let groups = MaskGroups::build(&observations, 1);
+        let group = &groups.groups()[0];
+        assert_eq!(group.num_profiles(), 4);
+        assert_eq!(group.profile_of(), &[0, 1, 2, 3, 1]);
+        assert_eq!(groups.num_unique_cells(), 4);
     }
 
     #[test]
@@ -492,6 +617,7 @@ mod tests {
     fn empty_observation_set_produces_no_groups() {
         let groups = MaskGroups::build(&[], 3);
         assert_eq!(groups.num_unique_masks(), 0);
+        assert_eq!(groups.num_unique_cells(), 0);
         assert_eq!(groups.num_observations(), 0);
     }
 }

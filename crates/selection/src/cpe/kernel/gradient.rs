@@ -8,7 +8,8 @@
 //! (over the kernel's shared SoA node tables) supplies `∂ log Z_i / ∂ m_i` and
 //! `∂ log Z_i / ∂ v` in one vectorised sweep per mask group (the variance —
 //! and therefore the quadrature tables — is shared by every member of a
-//! group); this module backpropagates those two
+//! group, and members sharing a `(profile, correct, wrong)` cell share one
+//! sweep cell); this module backpropagates those two
 //! scalars through the conditioning map onto the model parameters the
 //! estimator actually optimises: the mean vector and the packed lower triangle
 //! of the covariance.
@@ -80,7 +81,10 @@ impl CpeLikelihoodKernel<'_> {
     /// Cost per model evaluation: one conditioning factorisation and one
     /// vectorised quadrature sweep per unique mask — `O(1)` likelihood sweeps
     /// per gradient, against the `2 x (D+1)(D+4)/2` full sweeps of the
-    /// central-difference oracle.
+    /// central-difference oracle. Within a mask, one observed-block solve per
+    /// distinct profile and one sweep cell per distinct cell; the per-member
+    /// accumulation then runs in the original member order, so the result is
+    /// bit-identical to one solve and one cell per member.
     pub fn log_likelihood_gradient(
         &self,
         model: &MultivariateNormal,
@@ -100,33 +104,43 @@ impl CpeLikelihoodKernel<'_> {
             let idx = group.observed_idx();
             let alpha = conditioner.weights();
 
-            // Conditional means and observed-block solves for every member,
-            // staged into the kernel's reused buffers.
-            s.obs.clear();
+            // Conditional means and observed-block solves, one per distinct
+            // profile, staged into the kernel's reused buffers.
+            s.profile_mu.clear();
             s.solves.clear();
-            for (&position, values) in group.members().iter().zip(group.values()) {
+            for values in group.profile_values() {
                 let (cond, w) = conditioner.condition_full(values)?;
-                let obs = &self.observations[position];
-                s.obs
-                    .push((cond.mean, obs.correct as f64, obs.wrong as f64));
+                s.profile_mu.push(cond.mean);
                 s.solves.push(w);
             }
+            s.obs.clear();
+            s.obs.extend(
+                group
+                    .cell_profile
+                    .iter()
+                    .zip(&group.cell_correct)
+                    .zip(&group.cell_wrong)
+                    .map(|((&p, &c), &x)| (s.profile_mu[p], c, x)),
+            );
 
-            // One vectorised sweep: log Z, ∂/∂m, ∂/∂v for the whole group,
-            // over the kernel's shared SoA node tables (built once per kernel,
-            // not once per group per evaluation) and into the reused gradient
-            // buffer — the sweep itself allocates nothing.
+            // One vectorised sweep: log Z, ∂/∂m, ∂/∂v for every distinct cell
+            // of the group, over the kernel's shared SoA node tables (built
+            // once per kernel, not once per group per evaluation) and into the
+            // reused gradient buffer — the sweep itself allocates nothing.
             s.grads.clear();
             s.grads.resize(s.obs.len(), LogZGradient::default());
             self.batch
                 .log_z_gradients_into(sigma, &s.obs, &mut s.grads, &mut s.quad);
 
-            // Group-level sufficient statistics of the backpropagation.
+            // Group-level sufficient statistics of the backpropagation,
+            // accumulated per member in the original member order.
             let mut sum_d_mean = 0.0;
             let mut sum_d_var = 0.0;
             s.dm_w.clear();
             s.dm_w.resize(idx.len(), 0.0);
-            for ((&position, grad), w) in group.members().iter().zip(&s.grads).zip(&s.solves) {
+            let members = group.members().iter().zip(group.cell_of());
+            for ((&position, &cell), &profile) in members.zip(group.profile_of()) {
+                let grad = &s.grads[cell];
                 per_obs_log_z[position] = grad.log_z;
                 if !grad.is_finite() {
                     // Underflowed normaliser: zero contribution, never NaN.
@@ -134,7 +148,7 @@ impl CpeLikelihoodKernel<'_> {
                 }
                 sum_d_mean += grad.d_mean;
                 sum_d_var += grad.d_variance;
-                for (acc, &wi) in s.dm_w.iter_mut().zip(w.as_slice()) {
+                for (acc, &wi) in s.dm_w.iter_mut().zip(s.solves[profile].as_slice()) {
                     *acc += grad.d_mean * wi;
                 }
             }

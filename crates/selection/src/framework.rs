@@ -22,7 +22,7 @@ use crate::selector::{SelectionOutcome, WorkerSelector};
 use crate::stage::{num_prior_domains, RoundHeader, StageInit, StagePipeline, StageRoundInput};
 use crate::SelectionError;
 use c4u_crowd_sim::{CampaignSchedule, HistoricalProfile, Platform, WorkerId, WorkerShards};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Which estimation components the pipeline uses.
 ///
@@ -339,7 +339,9 @@ impl CrossDomainSelector {
                     let applied = platform.apply_events(events)?;
                     remaining.extend(applied.joined.iter().copied());
                     if !applied.departed.is_empty() {
-                        remaining.retain(|w| !applied.departed.contains(w));
+                        let departed: BTreeSet<WorkerId> =
+                            applied.departed.iter().copied().collect();
+                        remaining.retain(|w| !departed.contains(w));
                     }
                     (applied.joined, applied.departed)
                 }
@@ -404,9 +406,10 @@ impl CrossDomainSelector {
         }
 
         // --- Final top-k extraction (Algorithm 4 line 17) ---
+        let survivors: BTreeSet<WorkerId> = remaining.iter().copied().collect();
         let surviving_scores: Vec<ScoredWorker> = final_scores
             .iter()
-            .filter(|s| remaining.contains(&s.worker))
+            .filter(|s| survivors.contains(&s.worker))
             .copied()
             .collect();
         let selected = if remaining.len() >= k {

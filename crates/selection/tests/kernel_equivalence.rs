@@ -10,6 +10,14 @@
 //! on observation sets that mix fully-observed, partially-missing, and
 //! all-missing masks.
 //!
+//! The quantised-lattice fixture repeats the same three checks on a pool shaped
+//! like a real one: about 2 000 workers whose profiles are multiples of `1/20`
+//! and whose answer counts are integers in `0..=20`, over three masks. Most
+//! workers share their `(profile, correct, wrong)` cell with others, so these
+//! tests exercise the kernel's per-distinct-cell evaluation; they also pin the
+//! analytic (default) update on that pool to the bits the per-member loop
+//! produced.
+//!
 //! A final test pins the *factorisation count*: one observed-block Cholesky per
 //! unique non-empty mask per objective evaluation, i.e.
 //! `epochs x (2 x params) x unique_masks` per `update()` — the acceptance
@@ -18,7 +26,7 @@
 mod reference;
 
 use c4u_crowd_sim::HistoricalProfile;
-use c4u_selection::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator};
+use c4u_selection::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator, MaskGroups};
 use c4u_stats::conditioning_factorizations;
 use reference::ReferenceEstimator;
 
@@ -51,6 +59,37 @@ fn mixed_observations() -> Vec<CpeObservation> {
         obs(&[Some(0.8), None, Some(0.7)], 8, 2),
         obs(&[None, Some(0.6), None], 4, 6),
     ]
+}
+
+/// A deterministic quantised pool: `workers` observations whose prior
+/// accuracies are multiples of `1/20` and whose correct counts lie in
+/// `0..=20` (out of 20 answers), spread over the fully-observed, one partial
+/// and the all-missing mask. A small multiplicative hash spreads the workers
+/// over a few hundred distinct cells, so most cells hold several workers.
+fn lattice_observations(workers: usize) -> Vec<CpeObservation> {
+    (0..workers)
+        .map(|w| {
+            let h = (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            let base = 8 + (h % 9) as usize;
+            let profile: Vec<Option<f64>> = (0..3)
+                .map(|d| {
+                    let k = base + ((h >> (4 + d)) & 1) as usize;
+                    Some(k as f64 / 20.0)
+                })
+                .collect();
+            let profile = match w % 5 {
+                0 => vec![profile[0], None, profile[2]],
+                1 if w % 3 == 0 => vec![None, None, None],
+                _ => profile,
+            };
+            let correct = base + ((h >> 8) % 4) as usize - 3;
+            CpeObservation {
+                prior_accuracies: profile,
+                correct,
+                wrong: 20 - correct,
+            }
+        })
+        .collect()
 }
 
 fn fast_config() -> CpeConfig {
@@ -159,4 +198,122 @@ fn update_factorizes_once_per_unique_mask_per_objective_evaluation() {
     let before = conditioning_factorizations();
     est.predict_batch(&observations).unwrap();
     assert_eq!(conditioning_factorizations() - before, non_empty_masks);
+}
+
+#[test]
+fn lattice_fixture_is_heavily_duplicated() {
+    let observations = lattice_observations(LATTICE_WORKERS);
+    let groups = MaskGroups::build(&observations, 3);
+    assert_eq!(groups.num_unique_masks(), 3);
+    // Cells hold more than four workers on average; profiles far more.
+    assert!(4 * groups.num_unique_cells() < observations.len());
+    let profiles: usize = groups.groups().iter().map(|g| g.num_profiles()).sum();
+    assert!(20 * profiles < observations.len());
+}
+
+const LATTICE_WORKERS: usize = 2_000;
+
+/// Two FD epochs: the reference conditions every worker from scratch for each
+/// of the `2 x 14` stencil evaluations, which dominates this suite's time.
+fn lattice_config() -> CpeConfig {
+    CpeConfig {
+        epochs: 2,
+        ..fast_config()
+    }
+}
+
+#[test]
+fn lattice_log_likelihood_matches_reference_bit_for_bit() {
+    let config = lattice_config();
+    let est = estimator(config);
+    let reference = ReferenceEstimator::from_estimator(&est, config);
+    let observations = lattice_observations(LATTICE_WORKERS);
+    assert_eq!(
+        est.log_likelihood(&observations).unwrap(),
+        reference.log_likelihood(&observations)
+    );
+}
+
+#[test]
+fn lattice_update_matches_reference_bit_for_bit() {
+    let config = lattice_config();
+    let mut est = estimator(config);
+    let mut reference = ReferenceEstimator::from_estimator(&est, config);
+    let observations = lattice_observations(LATTICE_WORKERS);
+
+    est.update(&observations).unwrap();
+    reference.update(&observations);
+
+    assert_eq!(est.mean(), reference.mean.as_slice());
+    assert_eq!(est.covariance().as_slice(), reference.covariance.as_slice());
+}
+
+#[test]
+fn lattice_predict_batch_matches_reference_bit_for_bit() {
+    for use_posterior in [true, false] {
+        let config = CpeConfig {
+            use_posterior_prediction: use_posterior,
+            ..lattice_config()
+        };
+        let est = estimator(config);
+        let reference = ReferenceEstimator::from_estimator(&est, config);
+        let observations = lattice_observations(LATTICE_WORKERS);
+        assert_eq!(
+            est.predict_batch(&observations).unwrap(),
+            reference.predict_batch(&observations)
+        );
+    }
+}
+
+/// Exact `f64` bits of the mean after a default-config (analytic-gradient)
+/// `update()` on the lattice fixture, captured from the kernel when it still
+/// ran one conditioning solve and one sweep cell per member.
+const LATTICE_ANALYTIC_MEAN_BITS: [u64; 4] = [
+    4603803565812441607,
+    4605079890212445602,
+    4602906907328357263,
+    4602672319424967614,
+];
+
+/// Exact `f64` bits of the matching covariance (row-major 4x4).
+const LATTICE_ANALYTIC_COV_BITS: [u64; 16] = [
+    4591079232541007078,
+    4584416018322349567,
+    4586660434645182481,
+    13789887362371981020,
+    4584416018322349567,
+    4589212449099657213,
+    4581086372907201625,
+    4580723362896739124,
+    4586660434645182481,
+    4581086372907201625,
+    4590950629245205759,
+    4586194947594043133,
+    13789887362371981020,
+    4580723362896739124,
+    4586194947594043133,
+    4589935837242488314,
+];
+
+#[test]
+fn lattice_analytic_update_is_unchanged_from_the_per_member_loop() {
+    // The reference only transcribes the finite-difference update, so the
+    // default analytic path is pinned to recorded bits instead.
+    // Rates scaled down for 2 000 workers, so the model stays interior.
+    let mut est = estimator(CpeConfig {
+        epochs: 5,
+        mean_learning_rate: 1e-6,
+        covariance_learning_rate: 1e-7,
+        ..CpeConfig::default()
+    });
+    est.update(&lattice_observations(LATTICE_WORKERS)).unwrap();
+    let mean: Vec<u64> = est.mean().iter().map(|v| v.to_bits()).collect();
+    let cov: Vec<u64> = est
+        .covariance()
+        .as_slice()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    assert_eq!(mean, LATTICE_ANALYTIC_MEAN_BITS);
+    assert_eq!(cov, LATTICE_ANALYTIC_COV_BITS);
 }

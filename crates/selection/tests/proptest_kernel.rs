@@ -10,6 +10,12 @@
 //! * the finite-difference gradient of the packed-parameter objective
 //!   (the quantity the Eq. 6–7 update consumes), and
 //! * the batch predictions (Eq. 8), with and without the posterior counts.
+//!
+//! A second family draws observations from a small lattice (accuracies in
+//! quarters, answer counts below 4, every draw repeated), so many members share
+//! a `(profile, correct, wrong)` cell. There every member's kernel output must
+//! equal, bit for bit, that of a kernel built on the member's observation
+//! alone, in both quadrature math modes: sharing a cell never changes a bit.
 
 mod reference;
 
@@ -17,6 +23,7 @@ use c4u_crowd_sim::HistoricalProfile;
 use c4u_optim::gradient_with_step;
 use c4u_selection::{
     observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator,
+    QuadratureMath,
 };
 use c4u_stats::{nearest_positive_definite, GaussLegendre, MultivariateNormal, Vector};
 use proptest::prelude::*;
@@ -75,6 +82,23 @@ fn with_boundary_masks(mut observations: Vec<CpeObservation>) -> Vec<CpeObservat
         wrong: 3,
     });
     observations
+}
+
+/// Strategy: one observation from a small lattice — a random mask, accuracies
+/// in `{0.25, 0.5, 0.75}`, answer counts in `0..4` — so independent draws
+/// collide on the same cell often.
+fn lattice_observation_strategy() -> impl Strategy<Value = CpeObservation> {
+    (0u8..8, 1u8..4, 1u8..4, 1u8..4, 0usize..4, 0usize..4).prop_map(
+        |(mask, k0, k1, k2, correct, wrong)| CpeObservation {
+            prior_accuracies: [k0, k1, k2]
+                .iter()
+                .enumerate()
+                .map(|(d, &k)| (mask & (1 << d) != 0).then_some(f64::from(k) / 4.0))
+                .collect(),
+            correct,
+            wrong,
+        },
+    )
 }
 
 proptest! {
@@ -176,5 +200,70 @@ proptest! {
         prop_assert!(seen.iter().all(|&s| s));
         prop_assert!(groups.num_unique_masks() <= observations.len());
         prop_assert!(groups.num_unique_masks() >= 1);
+    }
+
+    #[test]
+    fn shared_cells_match_singleton_kernels(
+        draws in prop::collection::vec(lattice_observation_strategy(), 1..24),
+        fast in 0u8..2,
+    ) {
+        // Every draw appears at least twice, interleaved with the others.
+        let mut observations = draws.clone();
+        observations.extend(draws);
+        let math = if fast == 1 { QuadratureMath::FastVector } else { QuadratureMath::Exact };
+        let model = estimator().model().unwrap();
+        let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
+        let kernel =
+            CpeLikelihoodKernel::new_with_math(&observations, NUM_DOMAINS, &quadrature, math);
+        prop_assert!(kernel.groups().num_unique_cells() <= observations.len() / 2);
+
+        let per_obs = kernel.per_observation_log_likelihood(&model).unwrap();
+        let with_posterior = kernel.predict(&model, true).unwrap();
+        let without_posterior = kernel.predict(&model, false).unwrap();
+        let fused = kernel.log_likelihood_gradient(&model).unwrap();
+        let mut fused_total = 0.0;
+        for (i, obs) in observations.iter().enumerate() {
+            let single = std::slice::from_ref(obs);
+            let alone = CpeLikelihoodKernel::new_with_math(single, NUM_DOMAINS, &quadrature, math);
+            prop_assert_eq!(per_obs[i], alone.per_observation_log_likelihood(&model).unwrap()[0]);
+            prop_assert_eq!(with_posterior[i], alone.predict(&model, true).unwrap()[0]);
+            prop_assert_eq!(without_posterior[i], alone.predict(&model, false).unwrap()[0]);
+            fused_total += alone.log_likelihood_gradient(&model).unwrap().log_likelihood;
+        }
+        // The fused sweep's log Z terms are summed in observation order too.
+        prop_assert_eq!(fused.log_likelihood, fused_total);
+    }
+
+    #[test]
+    fn cells_are_the_distinct_profile_and_count_triples(
+        draws in prop::collection::vec(lattice_observation_strategy(), 1..24),
+    ) {
+        let mut observations = draws.clone();
+        observations.extend(draws);
+        let quadrature = GaussLegendre::new(8);
+        let kernel = CpeLikelihoodKernel::new(&observations, NUM_DOMAINS, &quadrature);
+        for group in kernel.groups().groups() {
+            let key = |k: usize| {
+                let obs = &observations[group.members()[k]];
+                let bits: Vec<u64> = group.values()[k].iter().map(|v| v.to_bits()).collect();
+                (bits, obs.correct, obs.wrong)
+            };
+            let mut next_profile = 0;
+            let mut next_cell = 0;
+            for k in 0..group.members().len() {
+                // Numbering is first-occurrence: a new index is the next one.
+                prop_assert!(group.profile_of()[k] <= next_profile);
+                prop_assert!(group.cell_of()[k] <= next_cell);
+                next_profile = next_profile.max(group.profile_of()[k] + 1);
+                next_cell = next_cell.max(group.cell_of()[k] + 1);
+                for j in 0..k {
+                    let (a, b) = (key(j), key(k));
+                    prop_assert_eq!(group.profile_of()[j] == group.profile_of()[k], a.0 == b.0);
+                    prop_assert_eq!(group.cell_of()[j] == group.cell_of()[k], a == b);
+                }
+            }
+            prop_assert_eq!(group.num_profiles(), next_profile);
+            prop_assert_eq!(group.num_cells(), next_cell);
+        }
     }
 }
