@@ -38,17 +38,17 @@
 //!   `BENCH_quadrature.json` at the workspace root; empty disables writing);
 //! * `C4U_BENCH_GATE` — set to `1` to fail (exit non-zero) when any cell
 //!   regresses more than 25% in ns per worker-node against the newest run of
-//!   the committed trajectory (`C4U_QUAD_BASELINE` overrides the baseline
-//!   file). The baseline is loaded **before** this run is appended.
+//!   the committed trajectory, or when no cell matches that run. The baseline
+//!   is loaded **before** this run is appended.
+//!
+//! Reporting and gating go through the shared [`c4u_bench::QUADRATURE`]
+//! trajectory: cells are identified by `(workers, nodes, math)`.
 
-use c4u_bench::{
-    append_quadrature_run, bench_gate_enabled, gate_quadrature_cells, latest_quadrature_baseline,
-    math_tag, quad_math_modes, quadrature_baseline_path, quadrature_report_path,
-    render_quadrature_run, QuadratureCell,
-};
+use c4u_bench::{math_tag, quad_math_modes, QuadratureCell, QUADRATURE};
 use c4u_env::C4uEnv;
 use c4u_stats::{
-    binomial_normal_moments, BinomialNormalBatch, GaussLegendre, QuadratureMath, QuadratureScratch,
+    binomial_normal_moments, median, BinomialNormalBatch, GaussLegendre, QuadratureMath,
+    QuadratureScratch,
 };
 use std::time::Instant;
 
@@ -67,12 +67,6 @@ fn make_group(workers: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     (mu, c, x)
 }
 
-/// Median of a sample vector (sorted in place).
-fn median_ns(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 const SIGMA: f64 = 0.12;
 
 fn main() {
@@ -83,22 +77,7 @@ fn main() {
     let samples = env.quad_samples;
     let maths = quad_math_modes();
 
-    // Baseline first: when the gate is armed, the comparison target is the
-    // newest run already on file — before this run is appended to it.
-    let gate = bench_gate_enabled();
-    let baseline = if gate {
-        let path = quadrature_baseline_path();
-        let loaded = latest_quadrature_baseline(&path);
-        if loaded.is_none() {
-            println!(
-                "gate armed but no baseline run at {} — skipping",
-                path.display()
-            );
-        }
-        loaded
-    } else {
-        None
-    };
+    let run = QUADRATURE.open(&env.quad_report);
 
     println!("Batched SoA quadrature sweep vs per-worker scalar loop");
     println!("(sigma = {SIGMA}, {samples} samples per cell, medians reported)\n");
@@ -107,7 +86,7 @@ fn main() {
         "workers", "nodes", "math", "batched ns", "scalar ns", "ns/(w*n)", "eff GB/s", "speedup"
     );
 
-    let mut cells = Vec::new();
+    let mut rows = Vec::new();
     for &nodes in &nodes_sweep {
         let quadrature = GaussLegendre::new(nodes);
         let exact = BinomialNormalBatch::new(&quadrature);
@@ -141,7 +120,7 @@ fn main() {
                 }
                 scalar_ns.push(start.elapsed().as_nanos() as f64);
             }
-            let scalar_median_ns = median_ns(&mut scalar_ns);
+            let scalar_median_ns = median(&scalar_ns).expect("at least one sample");
 
             for &math in &maths {
                 let batch = BinomialNormalBatch::new_with_math(&quadrature, math);
@@ -186,7 +165,7 @@ fn main() {
                     workers,
                     nodes,
                     math,
-                    batched_median_ns: median_ns(&mut batched_ns),
+                    batched_median_ns: median(&batched_ns).expect("at least one sample"),
                     scalar_median_ns,
                 };
                 println!(
@@ -200,35 +179,10 @@ fn main() {
                     cell.effective_gb_per_s(),
                     cell.speedup()
                 );
-                cells.push(cell);
+                rows.push(cell.row());
             }
         }
     }
 
-    match quadrature_report_path() {
-        Some(path) => {
-            let line = render_quadrature_run(&cells);
-            match append_quadrature_run(&path, &line) {
-                Ok(()) => println!("\nappended run to {}", path.display()),
-                Err(err) => eprintln!("\nwarning: could not write {}: {err}", path.display()),
-            }
-        }
-        None => println!("\nreport writing disabled (C4U_QUAD_REPORT is empty)"),
-    }
-
-    if let Some(baseline) = baseline {
-        let violations = gate_quadrature_cells(&baseline, &cells);
-        if violations.is_empty() {
-            println!("gate: all matching cells within the regression limit");
-        } else {
-            eprintln!(
-                "gate: {} cell(s) regressed beyond the limit:",
-                violations.len()
-            );
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    run.finish(&rows);
 }

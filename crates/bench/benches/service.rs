@@ -4,7 +4,7 @@
 //! behind the [`ShardService`] queue/executor machinery costs coordination
 //! only — the shard work itself is identical. This bench quantifies that
 //! promise at the `10^5`–`10^6` worker scale the sharded platform targets:
-//! for every `(workers, shards, executors)` cell it times one full learning
+//! for every `(workers, executors)` cell it times one full learning
 //! round (every worker answers a golden batch) through
 //! [`Platform::assign_learning_batch_sharded`] and through
 //! [`ShardService::assign_learning_batch`], on identical pristine platform
@@ -25,38 +25,42 @@
 //! cargo bench -p c4u-bench --bench service
 //! ```
 //!
-//! Environment knobs (all optional):
+//! Every round fans out over 8 worker-range shards (`SHARDS`) and asks 10
+//! golden questions per worker (`TASKS`). Environment knobs (all optional):
 //!
 //! * `C4U_SERVICE_BENCH_WORKERS` — comma-separated pool sizes (default
 //!   `100000,1000000`);
-//! * `C4U_SERVICE_BENCH_SHARDS` — comma-separated shard counts (default `8`);
 //! * `C4U_SERVICE_BENCH_EXECUTORS` — comma-separated executor-pool sizes
 //!   (default `1,4`);
-//! * `C4U_SERVICE_BENCH_TASKS` — golden questions per worker per round
-//!   (default `10`);
 //! * `C4U_SERVICE_BENCH_SAMPLES` — timing samples per cell (default 5; the
 //!   median is reported);
 //! * `C4U_SERVICE_REPORT` — trajectory-file path (default
 //!   `BENCH_service.json` at the workspace root; empty disables writing);
 //! * `C4U_BENCH_GATE` — set to `1` to fail (exit non-zero) when any cell
 //!   regresses more than 25% in service ns per worker-task against the
-//!   newest run of the committed trajectory (`C4U_SERVICE_BASELINE`
-//!   overrides the baseline file). The baseline is loaded **before** this
-//!   run is appended.
+//!   newest run of the committed trajectory, or when no cell matches that
+//!   run. The baseline is loaded **before** this run is appended.
+//!
+//! Reporting and gating go through the shared [`c4u_bench::SERVICE`]
+//! trajectory: cells are identified by `(workers, tasks, shards, executors)`.
 //!
 //! [`ShardService`]: c4u_service::ShardService
 //! [`ShardService::assign_learning_batch`]: c4u_service::ShardService::assign_learning_batch
 //! [`Platform::assign_learning_batch_sharded`]: c4u_crowd_sim::Platform::assign_learning_batch_sharded
 //! [`RoundRecord`]: c4u_crowd_sim::RoundRecord
 
-use c4u_bench::{
-    append_service_run, bench_gate_enabled, gate_service_cells, latest_service_baseline,
-    render_service_run, service_baseline_path, service_report_path, ServiceCell,
-};
+use c4u_bench::{ServiceCell, SERVICE};
 use c4u_crowd_sim::{generate, DatasetConfig, Platform, WorkerShards};
 use c4u_env::C4uEnv;
 use c4u_service::{ServiceConfig, ShardService};
+use c4u_stats::median;
 use std::time::Instant;
+
+/// Worker-range shards every round fans out over.
+const SHARDS: usize = 8;
+
+/// Golden questions per worker in the round.
+const TASKS: usize = 10;
 
 /// The large-pool dataset: S-1 accuracy moments, scaled pool (the
 /// `platform_shards` bench's S-XL shape, pool size swept).
@@ -69,41 +73,15 @@ fn pool_config(workers: usize) -> DatasetConfig {
     config
 }
 
-/// Median of a sample vector (sorted in place).
-fn median_ns(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn main() {
     // One typed snapshot covers every knob; misspelled C4U_* names warn here.
     let env = C4uEnv::from_env();
-    let workers_sweep = env.service_bench_workers;
-    let shards_sweep = env.service_bench_shards;
-    let executors_sweep = env.service_bench_executors;
-    let tasks = env.service_bench_tasks;
     let samples = env.service_bench_samples;
-
-    // Baseline first: when the gate is armed, the comparison target is the
-    // newest run already on file — before this run is appended to it.
-    let gate = bench_gate_enabled();
-    let baseline = if gate {
-        let path = service_baseline_path();
-        let loaded = latest_service_baseline(&path);
-        if loaded.is_none() {
-            println!(
-                "gate armed but no baseline run at {} — skipping",
-                path.display()
-            );
-        }
-        loaded
-    } else {
-        None
-    };
+    let run = SERVICE.open(&env.service_report);
 
     println!("Async shard service vs in-process sharded round loop");
     println!(
-        "({tasks} golden questions per worker, {samples} samples per cell, medians reported)\n"
+        "({TASKS} golden questions per worker, {samples} samples per cell, medians reported)\n"
     );
     println!(
         "  {:>9} {:>6} {:>7} {:>9} {:>14} {:>14} {:>10} {:>9}",
@@ -117,107 +95,79 @@ fn main() {
         "overhead"
     );
 
-    let mut cells = Vec::new();
-    for &workers in &workers_sweep {
+    let mut rows = Vec::new();
+    for &workers in &env.service_bench_workers {
         let dataset = generate(&pool_config(workers)).expect("valid pool dataset");
         let pristine = Platform::from_dataset(&dataset, 11).expect("platform");
         let ids = pristine.worker_ids();
+        let shards = WorkerShards::by_count(ids.len(), SHARDS);
 
-        for &num_shards in &shards_sweep {
-            let shards = WorkerShards::by_count(ids.len(), num_shards);
+        // The in-process reference: the record every layout must reproduce,
+        // and the baseline the overhead column divides by.
+        let reference = pristine
+            .clone()
+            .assign_learning_batch_sharded(&ids, TASKS, &shards)
+            .expect("reference round");
+        let mut in_process_ns = Vec::with_capacity(samples);
+        for _ in 0..samples {
+            let mut p = pristine.clone();
+            let start = Instant::now();
+            let record = p
+                .assign_learning_batch_sharded(&ids, TASKS, &shards)
+                .expect("in-process round");
+            in_process_ns.push(start.elapsed().as_nanos() as f64);
+            assert_eq!(record, reference, "in-process round drifted");
+        }
+        let in_process_median_ns = median(&in_process_ns).expect("at least one sample");
 
-            // The in-process reference: the record every layout must
-            // reproduce, and the baseline the overhead column divides by.
-            let reference = pristine
-                .clone()
-                .assign_learning_batch_sharded(&ids, tasks, &shards)
-                .expect("reference round");
-            let mut in_process_ns = Vec::with_capacity(samples);
+        for &executors in &env.service_bench_executors {
+            let service = ShardService::new(ServiceConfig::default().with_executors(executors));
+
+            // Correctness gate before any timing: the service round must be
+            // bit-identical to the in-process reference on this cell.
+            let mut gate_platform = pristine.clone();
+            let record = service
+                .assign_learning_batch(&mut gate_platform, &ids, TASKS, &shards)
+                .expect("service round");
+            assert_eq!(
+                record, reference,
+                "service round diverged from the in-process reference \
+                 (workers={workers} shards={SHARDS} executors={executors})"
+            );
+
+            let mut service_ns = Vec::with_capacity(samples);
             for _ in 0..samples {
                 let mut p = pristine.clone();
                 let start = Instant::now();
-                let record = p
-                    .assign_learning_batch_sharded(&ids, tasks, &shards)
-                    .expect("in-process round");
-                in_process_ns.push(start.elapsed().as_nanos() as f64);
-                assert_eq!(record, reference, "in-process round drifted");
-            }
-            let in_process_median_ns = median_ns(&mut in_process_ns);
-
-            for &executors in &executors_sweep {
-                let service = ShardService::new(ServiceConfig::default().with_executors(executors));
-
-                // Correctness gate before any timing: the service round must
-                // be bit-identical to the in-process reference on this cell.
-                let mut gate_platform = pristine.clone();
                 let record = service
-                    .assign_learning_batch(&mut gate_platform, &ids, tasks, &shards)
+                    .assign_learning_batch(&mut p, &ids, TASKS, &shards)
                     .expect("service round");
-                assert_eq!(
-                    record, reference,
-                    "service round diverged from the in-process reference \
-                     (workers={workers} shards={num_shards} executors={executors})"
-                );
-
-                let mut service_ns = Vec::with_capacity(samples);
-                for _ in 0..samples {
-                    let mut p = pristine.clone();
-                    let start = Instant::now();
-                    let record = service
-                        .assign_learning_batch(&mut p, &ids, tasks, &shards)
-                        .expect("service round");
-                    service_ns.push(start.elapsed().as_nanos() as f64);
-                    assert_eq!(record, reference, "service round drifted");
-                }
-
-                let cell = ServiceCell {
-                    workers,
-                    tasks,
-                    shards: num_shards,
-                    executors,
-                    service_median_ns: median_ns(&mut service_ns),
-                    in_process_median_ns,
-                };
-                println!(
-                    "  {:>9} {:>6} {:>7} {:>9} {:>14.0} {:>14.0} {:>10.2} {:>8.2}x",
-                    cell.workers,
-                    cell.tasks,
-                    cell.shards,
-                    cell.executors,
-                    cell.service_median_ns,
-                    cell.in_process_median_ns,
-                    cell.ns_per_worker_task(),
-                    cell.overhead()
-                );
-                cells.push(cell);
+                service_ns.push(start.elapsed().as_nanos() as f64);
+                assert_eq!(record, reference, "service round drifted");
             }
-        }
-    }
 
-    match service_report_path() {
-        Some(path) => {
-            let line = render_service_run(&cells);
-            match append_service_run(&path, &line) {
-                Ok(()) => println!("\nappended run to {}", path.display()),
-                Err(err) => eprintln!("\nwarning: could not write {}: {err}", path.display()),
-            }
-        }
-        None => println!("\nreport writing disabled (C4U_SERVICE_REPORT is empty)"),
-    }
-
-    if let Some(baseline) = baseline {
-        let violations = gate_service_cells(&baseline, &cells);
-        if violations.is_empty() {
-            println!("gate: all matching cells within the regression limit");
-        } else {
-            eprintln!(
-                "gate: {} cell(s) regressed beyond the limit:",
-                violations.len()
+            let cell = ServiceCell {
+                workers,
+                tasks: TASKS,
+                shards: SHARDS,
+                executors,
+                service_median_ns: median(&service_ns).expect("at least one sample"),
+                in_process_median_ns,
+            };
+            println!(
+                "  {:>9} {:>6} {:>7} {:>9} {:>14.0} {:>14.0} {:>10.2} {:>8.2}x",
+                cell.workers,
+                cell.tasks,
+                cell.shards,
+                cell.executors,
+                cell.service_median_ns,
+                cell.in_process_median_ns,
+                cell.ns_per_worker_task(),
+                cell.overhead()
             );
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
+            rows.push(cell.row());
         }
     }
+
+    run.finish(&rows);
 }

@@ -25,15 +25,23 @@
 //!   ([`evaluate_cells_resumable`]; unset disables persistence);
 //! * `C4U_QUAD_WORKERS` / `C4U_QUAD_NODES` / `C4U_QUAD_SAMPLES` /
 //!   `C4U_QUAD_REPORT` — the `quadrature` roofline bench's sweep cells,
-//!   sample count, and trajectory-file path (see the [`report`] module);
+//!   sample count, and trajectory-file path;
 //! * `C4U_QUAD_MATH` — the quadrature fold-pass math mode: `exact` (the
 //!   bit-identical default for the table/figure benches), `fast_vector` (the
 //!   lane-chunked polynomial `exp`), or `both` (the `quadrature` roofline
 //!   bench's default, timing the two modes side by side);
-//! * `C4U_BENCH_GATE` — set to `1` to make the `quadrature` bench fail on any
-//!   cell regressing more than [`GATE_REGRESSION_LIMIT`] in ns per
-//!   worker-node against the newest committed trajectory run
-//!   (`C4U_QUAD_BASELINE` overrides the baseline file).
+//! * `C4U_SERVICE_BENCH_WORKERS` / `C4U_SERVICE_BENCH_EXECUTORS` /
+//!   `C4U_SERVICE_BENCH_SAMPLES` / `C4U_SERVICE_REPORT` — the same for the
+//!   `service` bench;
+//! * `C4U_BENCH_GATE` — set to `1` to make the `quadrature` and `service`
+//!   benches fail when a cell's gated metric regresses more than
+//!   [`GATE_REGRESSION_LIMIT`] against the newest run of the committed
+//!   trajectory, or when no cell matches that run at all.
+//!
+//! Both trajectory benches share one report pipeline (see the [`report`]
+//! module): a cell renders as a [`report::Row`] of identity and metric
+//! fields, and a [`report::Trajectory`] names the file, the identity keys,
+//! and the gated metric.
 //!
 //! Dataset generation is memoised process-wide ([`cached_generate`]): sweep
 //! cells sharing a configuration share one generated dataset, so a table that
@@ -51,12 +59,7 @@ pub mod report;
 
 pub use cache::{cell_cache_dir, SweepStats, CELL_CACHE_ENV};
 pub use report::{
-    append_quadrature_run, append_service_run, bench_gate_enabled, gate_quadrature_cells,
-    gate_service_cells, latest_quadrature_baseline, latest_service_baseline, math_tag,
-    parse_quadrature_run, parse_service_run, quadrature_baseline_path, quadrature_report_path,
-    render_quadrature_run, render_service_run, service_baseline_path, service_report_path,
-    QuadratureCell, ServiceCell, BENCH_GATE_ENV, GATE_REGRESSION_LIMIT, QUADRATURE_BASELINE_ENV,
-    SERVICE_BASELINE_ENV,
+    math_tag, QuadratureCell, ServiceCell, GATE_REGRESSION_LIMIT, QUADRATURE, SERVICE,
 };
 
 use c4u_crowd_sim::{generate, CampaignSchedule, Dataset, DatasetConfig, Platform, SimError};

@@ -13,6 +13,14 @@
 //! ]}
 //! ```
 //!
+//! Every bench shares one pipeline. A cell is a [`Row`]: its identity fields
+//! followed by its metric fields, each value held as raw JSON text. A
+//! [`Trajectory`] names the bench tag, the committed file, the identity keys,
+//! and the one metric the gate bounds; [`Trajectory::open`] (before the
+//! sweep) and [`BenchRun::finish`] (after it) are the whole bench tail. The
+//! parser and the gate compare raw field text, so they need no knowledge of
+//! a bench's cell type.
+//!
 //! Appending a run is a textual splice before the closing `]}` — no JSON
 //! parser needed on either side — and files that do not end with the expected
 //! closer are rewritten from scratch rather than trusted. Like the cell cache
@@ -20,36 +28,48 @@
 //! recorded numbers are exactly the measured ones, and writes go through a
 //! temp-file rename so an interrupted bench never leaves a truncated report.
 
+use c4u_env::{C4uEnv, PathKnob};
 use c4u_stats::QuadratureMath;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Environment variable naming the quadrature report path. Empty disables
-/// writing; unset uses [`QUADRATURE_REPORT_DEFAULT`] (relative to the `cargo
-/// bench` working directory, i.e. the workspace root).
-pub const QUADRATURE_REPORT_ENV: &str = c4u_env::names::QUAD_REPORT;
-
-/// Default quadrature report file name, placed at the workspace root (bench
-/// binaries run with the package directory as working directory, so the
-/// default resolves against the compile-time manifest location instead).
-pub const QUADRATURE_REPORT_DEFAULT: &str = "BENCH_quadrature.json";
-
-/// Environment variable enabling the trajectory regression gate (`"1"` turns
-/// it on; anything else leaves the bench report-only).
-pub const BENCH_GATE_ENV: &str = c4u_env::names::BENCH_GATE;
-
-/// Environment variable overriding the gate's baseline trajectory file.
-/// Unset or empty falls back to the committed default report location —
-/// deliberately independent of [`QUADRATURE_REPORT_ENV`], so a smoke run that
-/// redirects (or disables) report *writing* still gates against the committed
-/// history.
-pub const QUADRATURE_BASELINE_ENV: &str = c4u_env::names::QUAD_BASELINE;
-
-/// Allowed fractional regression of batched ns per worker-node before the
+/// Allowed fractional regression of a trajectory's gated metric before the
 /// gate fails a cell (25%: far above timing noise on a shared CI core, well
 /// below any real algorithmic regression).
 pub const GATE_REGRESSION_LIMIT: f64 = 0.25;
+
+/// One cell of a run: `(key, raw JSON value)` pairs in rendering order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row(pub Vec<(String, String)>);
+
+impl Row {
+    /// The raw JSON text of `key`'s value, if the row has it.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+impl<const N: usize> From<[(&str, String); N]> for Row {
+    fn from(fields: [(&str, String); N]) -> Self {
+        Row(fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect())
+    }
+}
+
+/// `f64` → JSON value: shortest round-trip decimal, non-finite as `null`.
+fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".to_string()
+    }
+}
 
 /// One `(workers, nodes, math)` cell of the quadrature sweep: median
 /// wall-clock of the batched structure-of-arrays sweep and of the equivalent
@@ -97,19 +117,27 @@ impl QuadratureCell {
         let bytes = (self.workers * (5 * self.nodes + 5) * 8) as f64;
         bytes / self.batched_median_ns
     }
-}
 
-/// `f64` → JSON value: shortest round-trip decimal, non-finite as `null`.
-fn format_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
+    /// The trajectory row: identity, measured medians, then derived metrics.
+    pub fn row(&self) -> Row {
+        Row::from([
+            ("workers", self.workers.to_string()),
+            ("nodes", self.nodes.to_string()),
+            ("math", format!("\"{}\"", math_tag(self.math))),
+            ("batched_median_ns", json_f64(self.batched_median_ns)),
+            ("scalar_median_ns", json_f64(self.scalar_median_ns)),
+            ("ns_per_worker_node", json_f64(self.ns_per_worker_node())),
+            (
+                "scalar_ns_per_worker_node",
+                json_f64(self.scalar_ns_per_worker_node()),
+            ),
+            ("speedup", json_f64(self.speedup())),
+            ("effective_gb_per_s", json_f64(self.effective_gb_per_s())),
+        ])
     }
 }
 
-/// JSON tag of a math mode (`"exact"` / `"fast_vector"`). Cells written
-/// before the math dimension existed carry no tag and parse as `Exact`.
+/// JSON tag of a math mode (`"exact"` / `"fast_vector"`).
 pub fn math_tag(math: QuadratureMath) -> &'static str {
     match math {
         QuadratureMath::Exact => "exact",
@@ -117,227 +145,10 @@ pub fn math_tag(math: QuadratureMath) -> &'static str {
     }
 }
 
-/// Renders one run (all cells of one bench invocation) as a single JSON line.
-pub fn render_quadrature_run(cells: &[QuadratureCell]) -> String {
-    let rendered: Vec<String> = cells
-        .iter()
-        .map(|cell| {
-            format!(
-                "{{\"workers\":{},\"nodes\":{},\"math\":\"{}\",\"batched_median_ns\":{},\"scalar_median_ns\":{},\"ns_per_worker_node\":{},\"scalar_ns_per_worker_node\":{},\"speedup\":{},\"effective_gb_per_s\":{}}}",
-                cell.workers,
-                cell.nodes,
-                math_tag(cell.math),
-                format_f64(cell.batched_median_ns),
-                format_f64(cell.scalar_median_ns),
-                format_f64(cell.ns_per_worker_node()),
-                format_f64(cell.scalar_ns_per_worker_node()),
-                format_f64(cell.speedup()),
-                format_f64(cell.effective_gb_per_s()),
-            )
-        })
-        .collect();
-    format!("{{\"cells\":[{}]}}", rendered.join(","))
-}
-
-/// The document frame around a list of run lines for the named bench.
-fn render_document(bench: &str, run_lines: &[&str]) -> String {
-    format!(
-        "{{\"schema\":1,\"bench\":\"{bench}\",\"runs\":[\n{}\n]}}\n",
-        run_lines.join(",\n")
-    )
-}
-
-/// The closing bytes every well-formed report ends with.
-const CLOSER: &str = "\n]}\n";
-
-/// Appends one run line to the named bench's trajectory file, creating it if
-/// absent.
-///
-/// A present file must end with the document closer; the new line is spliced
-/// in before it. A file that does not (hand-edited, truncated, or foreign) is
-/// replaced by a fresh single-run document — the report is a convenience
-/// record, not a source of truth worth failing a bench run over.
-fn append_run(path: &Path, bench: &str, run_line: &str) -> io::Result<()> {
-    let document = match fs::read_to_string(path) {
-        Ok(existing) if existing.ends_with(CLOSER) => {
-            let body = &existing[..existing.len() - CLOSER.len()];
-            format!("{body},\n{run_line}{CLOSER}")
-        }
-        _ => render_document(bench, &[run_line]),
-    };
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        fs::create_dir_all(parent)?;
-    }
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, document)?;
-    fs::rename(&tmp, path)
-}
-
-/// Appends one run line to the quadrature trajectory file.
-pub fn append_quadrature_run(path: &Path, run_line: &str) -> io::Result<()> {
-    append_run(path, "quadrature", run_line)
-}
-
-/// The report path from `C4U_QUAD_REPORT`: `None` when explicitly disabled
-/// with an empty value, the default path when unset.
-pub fn quadrature_report_path() -> Option<std::path::PathBuf> {
-    c4u_env::C4uEnv::from_env()
-        .quad_report
-        .or_default(default_report_path())
-}
-
-/// The committed trajectory location of a report file (manifest-relative, so
-/// it does not depend on the bench working directory).
-fn committed_report_path(file_name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file_name)
-}
-
-fn default_report_path() -> std::path::PathBuf {
-    committed_report_path(QUADRATURE_REPORT_DEFAULT)
-}
-
-/// `true` when `C4U_BENCH_GATE=1`: the quadrature bench then fails (exit
-/// non-zero) on any cell regressing more than [`GATE_REGRESSION_LIMIT`]
-/// against the newest committed trajectory run.
-pub fn bench_gate_enabled() -> bool {
-    c4u_env::C4uEnv::from_env().bench_gate
-}
-
-/// The gate's baseline trajectory file: `C4U_QUAD_BASELINE` when set and
-/// non-empty, otherwise the committed default report — independent of where
-/// (or whether) the current run writes its own report.
-pub fn quadrature_baseline_path() -> std::path::PathBuf {
-    c4u_env::C4uEnv::from_env()
-        .quad_baseline
-        .or_fallback(default_report_path())
-}
-
-/// Locates `"key":` inside one cell object and returns the raw value text up
-/// to the next `,` or end-of-object.
-fn raw_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = obj.find(&needle)? + needle.len();
-    let rest = &obj[start..];
-    let end = rest.find(',').unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Parses the cells of one run line back into [`QuadratureCell`]s.
-///
-/// Only the identity fields and the two measured medians are read (every
-/// other written field is derived from them); a cell missing a measured
-/// median is skipped rather than invented. Cells written before the math
-/// dimension existed (no `"math"` key) parse as [`QuadratureMath::Exact`] —
-/// the only mode that existed when they were recorded.
-pub fn parse_quadrature_run(run_line: &str) -> Vec<QuadratureCell> {
-    let Some(start) = run_line.find("\"cells\":[") else {
-        return Vec::new();
-    };
-    let body = &run_line[start + "\"cells\":[".len()..];
-    let mut cells = Vec::new();
-    for chunk in body.split('{').skip(1) {
-        let obj = chunk.split('}').next().unwrap_or("");
-        let parsed = (|| {
-            let workers: usize = raw_field(obj, "workers")?.parse().ok()?;
-            let nodes: usize = raw_field(obj, "nodes")?.parse().ok()?;
-            let math = match raw_field(obj, "math") {
-                Some("\"fast_vector\"") => QuadratureMath::FastVector,
-                _ => QuadratureMath::Exact,
-            };
-            let batched_median_ns: f64 = raw_field(obj, "batched_median_ns")?.parse().ok()?;
-            let scalar_median_ns: f64 = raw_field(obj, "scalar_median_ns")?.parse().ok()?;
-            Some(QuadratureCell {
-                workers,
-                nodes,
-                math,
-                batched_median_ns,
-                scalar_median_ns,
-            })
-        })();
-        if let Some(cell) = parsed {
-            cells.push(cell);
-        }
-    }
-    cells
-}
-
-/// The newest run line of a trajectory file, or `None` when the file is
-/// absent or does not end with the document closer.
-fn latest_run_line(path: &Path) -> Option<String> {
-    let doc = fs::read_to_string(path).ok()?;
-    let body = doc.strip_suffix(CLOSER)?;
-    body.rsplit('\n').next().map(str::to_string)
-}
-
-/// Loads the **newest** run of a trajectory file as the gate baseline.
-///
-/// Returns `None` when the file is absent, malformed (does not end with the
-/// document closer), or its last run parses to no cells — the gate then has
-/// nothing to compare against and reports that instead of failing spuriously.
-pub fn latest_quadrature_baseline(path: &Path) -> Option<Vec<QuadratureCell>> {
-    let cells = parse_quadrature_run(&latest_run_line(path)?);
-    (!cells.is_empty()).then_some(cells)
-}
-
-/// Compares a fresh run against a baseline run: one violation string per cell
-/// whose batched ns per worker-node regressed by more than
-/// [`GATE_REGRESSION_LIMIT`] against the baseline cell with the same
-/// `(workers, nodes, math)` identity.
-///
-/// Cells without a matching baseline identity (new sweep points, new math
-/// modes) pass vacuously — the gate bounds regressions on *comparable* cells,
-/// it does not freeze the sweep shape.
-pub fn gate_quadrature_cells(
-    baseline: &[QuadratureCell],
-    current: &[QuadratureCell],
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for cell in current {
-        let matched = baseline
-            .iter()
-            .find(|b| b.workers == cell.workers && b.nodes == cell.nodes && b.math == cell.math);
-        if let Some(base) = matched {
-            let was = base.ns_per_worker_node();
-            let now = cell.ns_per_worker_node();
-            if was.is_finite() && now.is_finite() && now > was * (1.0 + GATE_REGRESSION_LIMIT) {
-                violations.push(format!(
-                    "workers={} nodes={} math={}: {:.2} ns/worker-node vs baseline {:.2} (+{:.0}%, limit +{:.0}%)",
-                    cell.workers,
-                    cell.nodes,
-                    math_tag(cell.math),
-                    now,
-                    was,
-                    (now / was - 1.0) * 100.0,
-                    GATE_REGRESSION_LIMIT * 100.0,
-                ));
-            }
-        }
-    }
-    violations
-}
-
-// ---------------------------------------------------------------------------
-// The `service` bench trajectory: Algorithm-4 rounds through the async shard
-// service vs the in-process sharded reference, at 10^5–10^6 workers.
-// ---------------------------------------------------------------------------
-
-/// Environment variable naming the service report path. Empty disables
-/// writing; unset uses [`SERVICE_REPORT_DEFAULT`] at the workspace root.
-pub const SERVICE_REPORT_ENV: &str = c4u_env::names::SERVICE_REPORT;
-
-/// Default service report file name (committed at the workspace root).
-pub const SERVICE_REPORT_DEFAULT: &str = "BENCH_service.json";
-
-/// Environment variable overriding the service gate's baseline trajectory
-/// file; unset or empty falls back to the committed default report —
-/// independent of [`SERVICE_REPORT_ENV`], like the quadrature pair.
-pub const SERVICE_BASELINE_ENV: &str = c4u_env::names::SERVICE_BASELINE;
-
-/// One `(workers, shards, executors)` cell of the service sweep: median
-/// wall-clock of one full learning round through the `c4u_service::ShardService`
-/// executor pool and through the in-process sharded reference path.
+/// One `(workers, tasks, shards, executors)` cell of the service sweep:
+/// median wall-clock of one full learning round through the
+/// `c4u_service::ShardService` executor pool and through the in-process
+/// sharded reference path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceCell {
     /// Workers answering the round (the pool size).
@@ -368,118 +179,263 @@ impl ServiceCell {
     pub fn overhead(&self) -> f64 {
         self.service_median_ns / self.in_process_median_ns
     }
+
+    /// The trajectory row: identity, measured medians, then derived metrics.
+    pub fn row(&self) -> Row {
+        Row::from([
+            ("workers", self.workers.to_string()),
+            ("tasks", self.tasks.to_string()),
+            ("shards", self.shards.to_string()),
+            ("executors", self.executors.to_string()),
+            ("service_median_ns", json_f64(self.service_median_ns)),
+            ("in_process_median_ns", json_f64(self.in_process_median_ns)),
+            ("ns_per_worker_task", json_f64(self.ns_per_worker_task())),
+            ("overhead", json_f64(self.overhead())),
+        ])
+    }
 }
 
-/// Renders one service run (all cells of one bench invocation) as a single
-/// JSON line.
-pub fn render_service_run(cells: &[ServiceCell]) -> String {
-    let rendered: Vec<String> = cells
+/// Renders one run (all cells of one bench invocation) as a single JSON line.
+fn render_run(rows: &[Row]) -> String {
+    let rendered: Vec<String> = rows
         .iter()
-        .map(|cell| {
-            format!(
-                "{{\"workers\":{},\"tasks\":{},\"shards\":{},\"executors\":{},\"service_median_ns\":{},\"in_process_median_ns\":{},\"ns_per_worker_task\":{},\"overhead\":{}}}",
-                cell.workers,
-                cell.tasks,
-                cell.shards,
-                cell.executors,
-                format_f64(cell.service_median_ns),
-                format_f64(cell.in_process_median_ns),
-                format_f64(cell.ns_per_worker_task()),
-                format_f64(cell.overhead()),
-            )
+        .map(|row| {
+            let fields: Vec<String> = row.0.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            format!("{{{}}}", fields.join(","))
         })
         .collect();
     format!("{{\"cells\":[{}]}}", rendered.join(","))
 }
 
-/// [`append_quadrature_run`]'s counterpart for the service trajectory.
-pub fn append_service_run(path: &Path, run_line: &str) -> io::Result<()> {
-    append_run(path, "service", run_line)
-}
-
-/// The report path from `C4U_SERVICE_REPORT`: `None` when explicitly disabled
-/// with an empty value, the committed default when unset.
-pub fn service_report_path() -> Option<std::path::PathBuf> {
-    c4u_env::C4uEnv::from_env()
-        .service_report
-        .or_default(committed_report_path(SERVICE_REPORT_DEFAULT))
-}
-
-/// The service gate's baseline trajectory file: `C4U_SERVICE_BASELINE` when
-/// set and non-empty, otherwise the committed default report.
-pub fn service_baseline_path() -> std::path::PathBuf {
-    c4u_env::C4uEnv::from_env()
-        .service_baseline
-        .or_fallback(committed_report_path(SERVICE_REPORT_DEFAULT))
-}
-
-/// Parses the cells of one service run line back into [`ServiceCell`]s; cells
-/// missing an identity field or a measured median are skipped, not invented.
-pub fn parse_service_run(run_line: &str) -> Vec<ServiceCell> {
+/// Parses the cells of one run line back into [`Row`]s, keeping every
+/// field's value as raw text. A cell with a field that is not `"key":value`
+/// is skipped rather than half-read.
+fn parse_run(run_line: &str) -> Vec<Row> {
     let Some(start) = run_line.find("\"cells\":[") else {
         return Vec::new();
     };
     let body = &run_line[start + "\"cells\":[".len()..];
-    let mut cells = Vec::new();
+    let mut rows = Vec::new();
     for chunk in body.split('{').skip(1) {
         let obj = chunk.split('}').next().unwrap_or("");
-        let parsed = (|| {
-            Some(ServiceCell {
-                workers: raw_field(obj, "workers")?.parse().ok()?,
-                tasks: raw_field(obj, "tasks")?.parse().ok()?,
-                shards: raw_field(obj, "shards")?.parse().ok()?,
-                executors: raw_field(obj, "executors")?.parse().ok()?,
-                service_median_ns: raw_field(obj, "service_median_ns")?.parse().ok()?,
-                in_process_median_ns: raw_field(obj, "in_process_median_ns")?.parse().ok()?,
+        let fields: Option<Vec<(String, String)>> = obj
+            .split(',')
+            .map(|field| {
+                let (key, value) = field.split_once(':')?;
+                let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
+                Some((key.to_string(), value.trim().to_string()))
             })
-        })();
-        if let Some(cell) = parsed {
-            cells.push(cell);
+            .collect();
+        if let Some(fields) = fields {
+            rows.push(Row(fields));
         }
     }
-    cells
+    rows
 }
 
-/// Loads the newest service run as the gate baseline (same contract as
-/// [`latest_quadrature_baseline`]).
-pub fn latest_service_baseline(path: &Path) -> Option<Vec<ServiceCell>> {
-    let cells = parse_service_run(&latest_run_line(path)?);
-    (!cells.is_empty()).then_some(cells)
+/// The closing bytes every well-formed report ends with.
+const CLOSER: &str = "\n]}\n";
+
+/// The **newest** run of a trajectory file.
+///
+/// Returns `None` when the file is absent, malformed (does not end with the
+/// document closer), or its last run parses to no cells — the gate then has
+/// nothing to compare against and reports that instead of failing spuriously.
+fn latest_run(path: &Path) -> Option<Vec<Row>> {
+    let doc = fs::read_to_string(path).ok()?;
+    let rows = parse_run(doc.strip_suffix(CLOSER)?.rsplit('\n').next()?);
+    (!rows.is_empty()).then_some(rows)
 }
 
-/// Compares a fresh service run against a baseline: one violation string per
-/// cell whose service ns per worker-task regressed by more than
-/// [`GATE_REGRESSION_LIMIT`] against the baseline cell with the same
-/// `(workers, tasks, shards, executors)` identity. Unmatched cells pass
-/// vacuously, like the quadrature gate.
-pub fn gate_service_cells(baseline: &[ServiceCell], current: &[ServiceCell]) -> Vec<String> {
-    let mut violations = Vec::new();
-    for cell in current {
-        let matched = baseline.iter().find(|b| {
-            b.workers == cell.workers
-                && b.tasks == cell.tasks
-                && b.shards == cell.shards
-                && b.executors == cell.executors
-        });
-        if let Some(base) = matched {
-            let was = base.ns_per_worker_task();
-            let now = cell.ns_per_worker_task();
-            if was.is_finite() && now.is_finite() && now > was * (1.0 + GATE_REGRESSION_LIMIT) {
-                violations.push(format!(
-                    "workers={} tasks={} shards={} executors={}: {:.2} ns/worker-task vs baseline {:.2} (+{:.0}%, limit +{:.0}%)",
-                    cell.workers,
-                    cell.tasks,
-                    cell.shards,
-                    cell.executors,
-                    now,
-                    was,
-                    (now / was - 1.0) * 100.0,
-                    GATE_REGRESSION_LIMIT * 100.0,
-                ));
+/// The outcome of gating one run against a baseline run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct GateReport {
+    /// Current cells whose identity matched a baseline cell.
+    matched: usize,
+    /// One line per matched cell whose gated metric regressed beyond
+    /// [`GATE_REGRESSION_LIMIT`].
+    violations: Vec<String>,
+}
+
+impl GateReport {
+    /// A gate passes only when it compared something and nothing regressed:
+    /// zero matched cells means the sweep drifted off the baseline, which is
+    /// a failure, not a vacuous pass.
+    fn passed(&self) -> bool {
+        self.matched > 0 && self.violations.is_empty()
+    }
+}
+
+/// A bench's committed trajectory: what it is called, where it lives, which
+/// fields identify a cell, and which metric the gate bounds.
+#[derive(Debug, Clone, Copy)]
+pub struct Trajectory {
+    /// The `"bench"` tag of the document.
+    pub bench: &'static str,
+    /// File name of the committed trajectory at the workspace root.
+    pub file: &'static str,
+    /// Fields whose raw text identifies a cell across runs.
+    pub keys: &'static [&'static str],
+    /// The lower-is-better metric the gate bounds.
+    pub metric: &'static str,
+}
+
+/// The `quadrature` roofline bench's trajectory.
+pub const QUADRATURE: Trajectory = Trajectory {
+    bench: "quadrature",
+    file: "BENCH_quadrature.json",
+    keys: &["workers", "nodes", "math"],
+    metric: "ns_per_worker_node",
+};
+
+/// The `service` bench's trajectory.
+pub const SERVICE: Trajectory = Trajectory {
+    bench: "service",
+    file: "BENCH_service.json",
+    keys: &["workers", "tasks", "shards", "executors"],
+    metric: "ns_per_worker_task",
+};
+
+impl Trajectory {
+    /// The committed trajectory location (manifest-relative, so it does not
+    /// depend on the bench working directory).
+    fn committed_path(&self) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(self.file)
+    }
+
+    /// Appends one run line to this trajectory's file at `path`, creating it
+    /// if absent.
+    ///
+    /// A present file must end with the document closer; the new line is
+    /// spliced in before it. A file that does not (hand-edited, truncated, or
+    /// foreign) is replaced by a fresh single-run document — the report is a
+    /// convenience record, not a source of truth worth failing a bench run
+    /// over.
+    fn append(&self, path: &Path, run_line: &str) -> io::Result<()> {
+        let document = match fs::read_to_string(path) {
+            Ok(existing) if existing.ends_with(CLOSER) => {
+                let body = &existing[..existing.len() - CLOSER.len()];
+                format!("{body},\n{run_line}{CLOSER}")
+            }
+            _ => format!(
+                "{{\"schema\":1,\"bench\":\"{}\",\"runs\":[\n{run_line}{CLOSER}",
+                self.bench
+            ),
+        };
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            fs::create_dir_all(parent)?;
+        }
+        let tmp = path.with_extension("json.tmp");
+        fs::write(&tmp, document)?;
+        fs::rename(&tmp, path)
+    }
+
+    /// Compares a fresh run against a baseline run cell by cell. A current
+    /// cell matches the baseline cell whose identity fields have the same raw
+    /// text; a matched cell violates the gate when its gated metric exceeds
+    /// the baseline's by more than [`GATE_REGRESSION_LIMIT`]; a `null`
+    /// metric never violates.
+    fn gate(&self, baseline: &[Row], current: &[Row]) -> GateReport {
+        let metric = |row: &Row| row.get(self.metric).and_then(|v| v.parse::<f64>().ok());
+        let mut report = GateReport {
+            matched: 0,
+            violations: Vec::new(),
+        };
+        for cell in current {
+            let Some(base) = baseline.iter().find(|b| {
+                self.keys
+                    .iter()
+                    .all(|k| matches!((b.get(k), cell.get(k)), (Some(x), Some(y)) if x == y))
+            }) else {
+                continue;
+            };
+            report.matched += 1;
+            if let (Some(was), Some(now)) = (metric(base), metric(cell)) {
+                if now > was * (1.0 + GATE_REGRESSION_LIMIT) {
+                    let identity: Vec<String> = self
+                        .keys
+                        .iter()
+                        .map(|k| format!("{k}={}", cell.get(k).unwrap_or("").trim_matches('"')))
+                        .collect();
+                    report.violations.push(format!(
+                        "{}: {now:.2} {} vs baseline {was:.2} (+{:.0}%, limit +{:.0}%)",
+                        identity.join(" "),
+                        self.metric,
+                        (now / was - 1.0) * 100.0,
+                        GATE_REGRESSION_LIMIT * 100.0,
+                    ));
+                }
             }
         }
+        report
     }
-    violations
+
+    /// Starts a bench run against this trajectory. `report` is the bench's
+    /// report-path knob (unset writes the committed file, empty disables
+    /// writing). When `C4U_BENCH_GATE=1` the gate baseline — the newest run
+    /// of the committed file — is loaded now, before this run is appended.
+    pub fn open(&self, report: &PathKnob) -> BenchRun {
+        let baseline = C4uEnv::from_env().bench_gate.then(|| {
+            let path = self.committed_path();
+            let loaded = latest_run(&path);
+            if loaded.is_none() {
+                println!(
+                    "gate armed but no baseline run at {} — skipping",
+                    path.display()
+                );
+            }
+            loaded
+        });
+        BenchRun {
+            trajectory: *self,
+            report: report.or_default(self.committed_path()),
+            baseline: baseline.flatten(),
+        }
+    }
+}
+
+/// A bench run between [`Trajectory::open`] and [`BenchRun::finish`].
+#[derive(Debug)]
+pub struct BenchRun {
+    trajectory: Trajectory,
+    report: Option<PathBuf>,
+    baseline: Option<Vec<Row>>,
+}
+
+impl BenchRun {
+    /// Appends the run to the report file (unless disabled), then, when the
+    /// gate is armed and a baseline was found, gates the run, prints how many
+    /// cells matched, and exits the process with status 1 when none matched
+    /// or any regressed beyond [`GATE_REGRESSION_LIMIT`].
+    pub fn finish(self, rows: &[Row]) {
+        match &self.report {
+            Some(path) => match self.trajectory.append(path, &render_run(rows)) {
+                Ok(()) => println!("\nappended run to {}", path.display()),
+                Err(err) => eprintln!("\nwarning: could not write {}: {err}", path.display()),
+            },
+            None => println!("\nreport writing disabled (empty report path)"),
+        }
+
+        let Some(baseline) = &self.baseline else {
+            return;
+        };
+        let gate = self.trajectory.gate(baseline, rows);
+        println!(
+            "gate: {} of {} cell(s) matched the baseline, {} regressed beyond the limit",
+            gate.matched,
+            rows.len(),
+            gate.violations.len()
+        );
+        for v in &gate.violations {
+            eprintln!("  {v}");
+        }
+        if !gate.passed() {
+            eprintln!("gate: failed (it must match at least one cell and flag none)");
+            std::process::exit(1);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -496,138 +452,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn derived_quantities() {
-        let c = cell();
-        assert!((c.ns_per_worker_node() - 125.0).abs() < 1e-12);
-        assert!((c.scalar_ns_per_worker_node() - 625.0).abs() < 1e-12);
-        assert!((c.speedup() - 5.0).abs() < 1e-12);
-        // 1000 * (5 * 16 + 5) * 8 bytes = 680 kB over 2 ms = 0.34 GB/s.
-        assert!((c.effective_gb_per_s() - 0.34).abs() < 1e-12);
-    }
-
-    #[test]
-    fn run_line_is_one_line_of_json() {
-        let line = render_quadrature_run(&[cell(), cell()]);
-        assert!(!line.contains('\n'));
-        assert!(line.starts_with("{\"cells\":["));
-        assert!(line.ends_with("]}"));
-        assert_eq!(line.matches("\"workers\":1000").count(), 2);
-    }
-
-    #[test]
-    fn append_creates_then_extends() {
-        let dir = std::env::temp_dir().join(format!("c4u-report-{}", std::process::id()));
-        let path = dir.join("BENCH_quadrature.json");
-        let _ = fs::remove_file(&path);
-
-        let line = render_quadrature_run(&[cell()]);
-        append_quadrature_run(&path, &line).unwrap();
-        let first = fs::read_to_string(&path).unwrap();
-        assert!(first.starts_with("{\"schema\":1,\"bench\":\"quadrature\",\"runs\":[\n"));
-        assert!(first.ends_with(CLOSER));
-        assert_eq!(first.matches("\"cells\"").count(), 1);
-
-        append_quadrature_run(&path, &line).unwrap();
-        let second = fs::read_to_string(&path).unwrap();
-        assert_eq!(second.matches("\"cells\"").count(), 2);
-        // The two run lines are comma-separated inside the runs array.
-        assert!(second.contains("]},\n{\"cells\""));
-        assert!(second.ends_with(CLOSER));
-
-        fs::remove_file(&path).unwrap();
-        let _ = fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn malformed_files_are_replaced_not_trusted() {
-        let dir = std::env::temp_dir().join(format!("c4u-report-bad-{}", std::process::id()));
-        let path = dir.join("BENCH_quadrature.json");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(&path, "truncated garbage").unwrap();
-
-        let line = render_quadrature_run(&[cell()]);
-        append_quadrature_run(&path, &line).unwrap();
-        let doc = fs::read_to_string(&path).unwrap();
-        assert!(doc.starts_with("{\"schema\":1"));
-        assert!(!doc.contains("garbage"));
-
-        fs::remove_file(&path).unwrap();
-        let _ = fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn non_finite_medians_render_as_null() {
-        let mut c = cell();
-        c.batched_median_ns = f64::NAN;
-        let line = render_quadrature_run(&[c]);
-        assert!(line.contains("\"batched_median_ns\":null"));
-    }
-
-    #[test]
-    fn run_lines_round_trip_through_the_parser() {
-        let mut fast = cell();
-        fast.math = QuadratureMath::FastVector;
-        fast.batched_median_ns = 1_000_000.0;
-        let line = render_quadrature_run(&[cell(), fast]);
-        assert!(line.contains("\"math\":\"exact\""));
-        assert!(line.contains("\"math\":\"fast_vector\""));
-        let parsed = parse_quadrature_run(&line);
-        assert_eq!(parsed, vec![cell(), fast]);
-    }
-
-    #[test]
-    fn pre_math_cells_parse_as_exact() {
-        // The PR-6 trajectory format: no "math" key on any cell.
-        let line = "{\"cells\":[{\"workers\":1000,\"nodes\":16,\"batched_median_ns\":2000000.0,\"scalar_median_ns\":10000000.0,\"speedup\":5.0}]}";
-        let parsed = parse_quadrature_run(line);
-        assert_eq!(parsed, vec![cell()]);
-    }
-
-    #[test]
-    fn latest_baseline_reads_the_newest_run() {
-        let dir = std::env::temp_dir().join(format!("c4u-baseline-{}", std::process::id()));
-        let path = dir.join("BENCH_quadrature.json");
-        let _ = fs::remove_file(&path);
-        assert_eq!(latest_quadrature_baseline(&path), None);
-
-        append_quadrature_run(&path, &render_quadrature_run(&[cell()])).unwrap();
-        let mut newer = cell();
-        newer.batched_median_ns = 1_500_000.0;
-        append_quadrature_run(&path, &render_quadrature_run(&[newer])).unwrap();
-
-        // Two runs on file; the baseline is the newest one.
-        let baseline = latest_quadrature_baseline(&path).unwrap();
-        assert_eq!(baseline, vec![newer]);
-
-        fs::remove_file(&path).unwrap();
-        let _ = fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn gate_flags_only_regressions_beyond_the_limit() {
-        let base = cell(); // 125 ns/worker-node
-        let mut within = cell();
-        within.batched_median_ns = base.batched_median_ns * 1.2; // +20%: allowed
-        assert!(gate_quadrature_cells(&[base], &[within]).is_empty());
-
-        let mut beyond = cell();
-        beyond.batched_median_ns = base.batched_median_ns * 1.3; // +30%: flagged
-        let violations = gate_quadrature_cells(&[base], &[beyond]);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("workers=1000 nodes=16 math=exact"));
-
-        // A cell with no matching baseline identity passes vacuously.
-        let mut fast = beyond;
-        fast.math = QuadratureMath::FastVector;
-        assert!(gate_quadrature_cells(&[base], &[fast]).is_empty());
-
-        // Faster-than-baseline never trips the gate.
-        let mut faster = cell();
-        faster.batched_median_ns = base.batched_median_ns * 0.5;
-        assert!(gate_quadrature_cells(&[base], &[faster]).is_empty());
-    }
-
     fn service_cell() -> ServiceCell {
         ServiceCell {
             workers: 100_000,
@@ -639,6 +463,28 @@ mod tests {
         }
     }
 
+    /// A scratch trajectory path unique to this process and test.
+    fn scratch_path(test: &str, file: &str) -> PathBuf {
+        std::env::temp_dir()
+            .join(format!("c4u-{test}-{}", std::process::id()))
+            .join(file)
+    }
+
+    fn remove(path: &Path) {
+        fs::remove_file(path).unwrap();
+        let _ = fs::remove_dir(path.parent().unwrap());
+    }
+
+    #[test]
+    fn derived_quantities() {
+        let c = cell();
+        assert!((c.ns_per_worker_node() - 125.0).abs() < 1e-12);
+        assert!((c.scalar_ns_per_worker_node() - 625.0).abs() < 1e-12);
+        assert!((c.speedup() - 5.0).abs() < 1e-12);
+        // 1000 * (5 * 16 + 5) * 8 bytes = 680 kB over 2 ms = 0.34 GB/s.
+        assert!((c.effective_gb_per_s() - 0.34).abs() < 1e-12);
+    }
+
     #[test]
     fn service_derived_quantities() {
         let c = service_cell();
@@ -648,25 +494,186 @@ mod tests {
     }
 
     #[test]
+    fn run_line_is_one_line_of_json() {
+        let line = render_run(&[cell().row(), cell().row()]);
+        assert!(!line.contains('\n'));
+        assert!(line.starts_with("{\"cells\":["));
+        assert!(line.ends_with("]}"));
+        assert_eq!(line.matches("\"workers\":1000").count(), 2);
+    }
+
+    #[test]
+    fn run_lines_keep_the_committed_format() {
+        let quadrature = QuadratureCell {
+            workers: 1000,
+            nodes: 16,
+            math: QuadratureMath::FastVector,
+            batched_median_ns: 152210.0,
+            scalar_median_ns: 1325562.0,
+        };
+        assert_eq!(
+            render_run(&[quadrature.row()]),
+            "{\"cells\":[{\"workers\":1000,\"nodes\":16,\"math\":\"fast_vector\",\"batched_median_ns\":152210.0,\"scalar_median_ns\":1325562.0,\"ns_per_worker_node\":9.513125,\"scalar_ns_per_worker_node\":82.847625,\"speedup\":8.708770777215689,\"effective_gb_per_s\":4.467511990013796}]}"
+        );
+        let service = ServiceCell {
+            workers: 100_000,
+            tasks: 10,
+            shards: 8,
+            executors: 4,
+            service_median_ns: 31766987.0,
+            in_process_median_ns: 46420114.0,
+        };
+        assert_eq!(
+            render_run(&[service.row()]),
+            "{\"cells\":[{\"workers\":100000,\"tasks\":10,\"shards\":8,\"executors\":4,\"service_median_ns\":31766987.0,\"in_process_median_ns\":46420114.0,\"ns_per_worker_task\":31.766987,\"overhead\":0.6843366864631139}]}"
+        );
+    }
+
+    #[test]
+    fn committed_trajectories_parse_through_the_generic_parser() {
+        for (trajectory, cells) in [(QUADRATURE, 24), (SERVICE, 4)] {
+            let rows = latest_run(&trajectory.committed_path()).unwrap();
+            assert_eq!(rows.len(), cells, "{}", trajectory.file);
+            for row in &rows {
+                for key in trajectory.keys.iter().chain([&trajectory.metric]) {
+                    assert!(row.get(key).is_some(), "{} lacks {key}", trajectory.file);
+                }
+            }
+            // The newest committed run gates against itself: every cell
+            // matches and none regresses.
+            let gate = trajectory.gate(&rows, &rows);
+            assert_eq!(gate.matched, cells);
+            assert!(gate.passed());
+        }
+    }
+
+    #[test]
+    fn append_creates_then_extends() {
+        let path = scratch_path("report", QUADRATURE.file);
+        let _ = fs::remove_file(&path);
+
+        let line = render_run(&[cell().row()]);
+        QUADRATURE.append(&path, &line).unwrap();
+        let first = fs::read_to_string(&path).unwrap();
+        assert!(first.starts_with("{\"schema\":1,\"bench\":\"quadrature\",\"runs\":[\n"));
+        assert!(first.ends_with(CLOSER));
+        assert_eq!(first.matches("\"cells\"").count(), 1);
+
+        QUADRATURE.append(&path, &line).unwrap();
+        let second = fs::read_to_string(&path).unwrap();
+        assert_eq!(second.matches("\"cells\"").count(), 2);
+        // The two run lines are comma-separated inside the runs array.
+        assert!(second.contains("]},\n{\"cells\""));
+        assert!(second.ends_with(CLOSER));
+
+        remove(&path);
+    }
+
+    #[test]
+    fn malformed_files_are_replaced_not_trusted() {
+        let path = scratch_path("report-bad", QUADRATURE.file);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, "truncated garbage").unwrap();
+        assert_eq!(latest_run(&path), None);
+
+        QUADRATURE
+            .append(&path, &render_run(&[cell().row()]))
+            .unwrap();
+        let doc = fs::read_to_string(&path).unwrap();
+        assert!(doc.starts_with("{\"schema\":1"));
+        assert!(!doc.contains("garbage"));
+
+        remove(&path);
+    }
+
+    #[test]
+    fn non_finite_medians_render_as_null() {
+        let mut c = cell();
+        c.batched_median_ns = f64::NAN;
+        let line = render_run(&[c.row()]);
+        assert!(line.contains("\"batched_median_ns\":null"));
+    }
+
+    #[test]
+    fn run_lines_round_trip_through_the_parser() {
+        let mut fast = cell();
+        fast.math = QuadratureMath::FastVector;
+        fast.batched_median_ns = 1_000_000.0;
+        let rows = vec![cell().row(), fast.row()];
+        let line = render_run(&rows);
+        assert!(line.contains("\"math\":\"exact\""));
+        assert!(line.contains("\"math\":\"fast_vector\""));
+        assert_eq!(parse_run(&line), rows);
+    }
+
+    #[test]
+    fn latest_baseline_reads_the_newest_run() {
+        let path = scratch_path("baseline", QUADRATURE.file);
+        let _ = fs::remove_file(&path);
+        assert_eq!(latest_run(&path), None);
+
+        QUADRATURE
+            .append(&path, &render_run(&[cell().row()]))
+            .unwrap();
+        let mut newer = cell();
+        newer.batched_median_ns = 1_500_000.0;
+        let newer = vec![newer.row()];
+        QUADRATURE.append(&path, &render_run(&newer)).unwrap();
+
+        // Two runs on file; the baseline is the newest one.
+        assert_eq!(latest_run(&path), Some(newer));
+
+        remove(&path);
+    }
+
+    #[test]
+    fn gate_flags_only_regressions_beyond_the_limit() {
+        let base = cell(); // 125 ns/worker-node
+        let mut within = cell();
+        within.batched_median_ns = base.batched_median_ns * 1.2; // +20%: allowed
+        assert!(QUADRATURE.gate(&[base.row()], &[within.row()]).passed());
+
+        let mut beyond = cell();
+        beyond.batched_median_ns = base.batched_median_ns * 1.3; // +30%: flagged
+        let gate = QUADRATURE.gate(&[base.row()], &[beyond.row()]);
+        assert_eq!(gate.matched, 1);
+        assert_eq!(gate.violations.len(), 1);
+        assert!(gate.violations[0].contains("workers=1000 nodes=16 math=exact"));
+
+        // A cell with no matching baseline identity is not compared.
+        let mut fast = beyond;
+        fast.math = QuadratureMath::FastVector;
+        let gate = QUADRATURE.gate(&[base.row()], &[beyond.row(), fast.row()]);
+        assert_eq!((gate.matched, gate.violations.len()), (1, 1));
+
+        // Faster-than-baseline never trips the gate.
+        let mut faster = cell();
+        faster.batched_median_ns = base.batched_median_ns * 0.5;
+        assert!(QUADRATURE.gate(&[base.row()], &[faster.row()]).passed());
+    }
+
+    #[test]
     fn service_run_lines_round_trip_through_the_parser() {
         let mut wide = service_cell();
         wide.executors = 16;
         wide.service_median_ns = 3_000_000.0;
-        let line = render_service_run(&[service_cell(), wide]);
+        let rows = vec![service_cell().row(), wide.row()];
+        let line = render_run(&rows);
         assert!(!line.contains('\n'));
         assert!(line.contains("\"executors\":4"));
         assert!(line.contains("\"executors\":16"));
-        assert_eq!(parse_service_run(&line), vec![service_cell(), wide]);
+        assert_eq!(parse_run(&line), rows);
     }
 
     #[test]
     fn service_appends_build_their_own_trajectory_document() {
-        let dir = std::env::temp_dir().join(format!("c4u-service-report-{}", std::process::id()));
-        let path = dir.join("BENCH_service.json");
+        let path = scratch_path("service-report", SERVICE.file);
         let _ = fs::remove_file(&path);
-        assert_eq!(latest_service_baseline(&path), None);
+        assert_eq!(latest_run(&path), None);
 
-        append_service_run(&path, &render_service_run(&[service_cell()])).unwrap();
+        SERVICE
+            .append(&path, &render_run(&[service_cell().row()]))
+            .unwrap();
         let doc = fs::read_to_string(&path).unwrap();
         assert!(doc.starts_with("{\"schema\":1,\"bench\":\"service\",\"runs\":[\n"));
         assert!(doc.ends_with(CLOSER));
@@ -674,11 +681,11 @@ mod tests {
         // The baseline is the newest appended run.
         let mut newer = service_cell();
         newer.service_median_ns = 4_500_000.0;
-        append_service_run(&path, &render_service_run(&[newer])).unwrap();
-        assert_eq!(latest_service_baseline(&path).unwrap(), vec![newer]);
+        let newer = vec![newer.row()];
+        SERVICE.append(&path, &render_run(&newer)).unwrap();
+        assert_eq!(latest_run(&path), Some(newer));
 
-        fs::remove_file(&path).unwrap();
-        let _ = fs::remove_dir(&dir);
+        remove(&path);
     }
 
     #[test]
@@ -686,17 +693,35 @@ mod tests {
         let base = service_cell();
         let mut within = service_cell();
         within.service_median_ns = base.service_median_ns * 1.2; // +20%: allowed
-        assert!(gate_service_cells(&[base], &[within]).is_empty());
+        assert!(SERVICE.gate(&[base.row()], &[within.row()]).passed());
 
         let mut beyond = service_cell();
         beyond.service_median_ns = base.service_median_ns * 1.3; // +30%: flagged
-        let violations = gate_service_cells(&[base], &[beyond]);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("workers=100000 tasks=10 shards=8 executors=4"));
+        let gate = SERVICE.gate(&[base.row()], &[beyond.row()]);
+        assert_eq!(gate.violations.len(), 1);
+        assert!(gate.violations[0].contains("workers=100000 tasks=10 shards=8 executors=4"));
 
-        // A different executor count is a different identity: vacuous pass.
+        // A different executor count is a different identity.
         let mut other_layout = beyond;
         other_layout.executors = 16;
-        assert!(gate_service_cells(&[base], &[other_layout]).is_empty());
+        let gate = SERVICE.gate(&[base.row()], &[other_layout.row()]);
+        assert_eq!(gate.matched, 0);
+    }
+
+    #[test]
+    fn gate_without_a_matched_cell_fails() {
+        let mut fast = cell();
+        fast.math = QuadratureMath::FastVector;
+        let gate = QUADRATURE.gate(&[cell().row()], &[fast.row()]);
+        assert_eq!(gate.matched, 0);
+        assert!(gate.violations.is_empty());
+        assert!(!gate.passed());
+        assert!(!QUADRATURE.gate(&[], &[cell().row()]).passed());
+
+        // A baseline row missing an identity key (a pre-`math` quadrature
+        // cell) matches nothing.
+        let mut pre_math = cell().row();
+        pre_math.0.retain(|(k, _)| k != "math");
+        assert!(!QUADRATURE.gate(&[pre_math], &[cell().row()]).passed());
     }
 }

@@ -57,24 +57,16 @@ pub mod names {
     pub const QUAD_SAMPLES: &str = "C4U_QUAD_SAMPLES";
     /// Quadrature trajectory-report path (empty disables writing).
     pub const QUAD_REPORT: &str = "C4U_QUAD_REPORT";
-    /// Override of the quadrature gate's baseline trajectory file.
-    pub const QUAD_BASELINE: &str = "C4U_QUAD_BASELINE";
     /// `1` arms the bench regression gates.
     pub const BENCH_GATE: &str = "C4U_BENCH_GATE";
     /// Pool sizes swept by the `service` bench.
     pub const SERVICE_BENCH_WORKERS: &str = "C4U_SERVICE_BENCH_WORKERS";
-    /// Shard counts swept by the `service` bench.
-    pub const SERVICE_BENCH_SHARDS: &str = "C4U_SERVICE_BENCH_SHARDS";
     /// Executor counts swept by the `service` bench.
     pub const SERVICE_BENCH_EXECUTORS: &str = "C4U_SERVICE_BENCH_EXECUTORS";
-    /// Golden questions per worker in the `service` bench round.
-    pub const SERVICE_BENCH_TASKS: &str = "C4U_SERVICE_BENCH_TASKS";
     /// Timing samples per `service` bench cell.
     pub const SERVICE_BENCH_SAMPLES: &str = "C4U_SERVICE_BENCH_SAMPLES";
     /// Service trajectory-report path (empty disables writing).
     pub const SERVICE_REPORT: &str = "C4U_SERVICE_REPORT";
-    /// Override of the service gate's baseline trajectory file.
-    pub const SERVICE_BASELINE: &str = "C4U_SERVICE_BASELINE";
     /// Workspace root override for `c4u-lint` (which stays dependency-free
     /// and reads this itself; registered here so the table documents it and
     /// the unknown-name scan accepts it).
@@ -95,12 +87,8 @@ pub const DEFAULT_QUAD_WORKERS: &[usize] = &[1_000, 10_000, 100_000, 1_000_000];
 pub const DEFAULT_QUAD_NODES: &[usize] = &[16, 32, 64];
 /// Default pool sizes of the service bench sweep.
 pub const DEFAULT_SERVICE_BENCH_WORKERS: &[usize] = &[100_000, 1_000_000];
-/// Default shard counts of the service bench sweep.
-pub const DEFAULT_SERVICE_BENCH_SHARDS: &[usize] = &[8];
 /// Default executor counts of the service bench sweep.
 pub const DEFAULT_SERVICE_BENCH_EXECUTORS: &[usize] = &[1, 4];
-/// Default golden questions per worker in the service bench round.
-pub const DEFAULT_SERVICE_BENCH_TASKS: usize = 10;
 /// Default timing samples per service bench cell.
 pub const DEFAULT_SERVICE_BENCH_SAMPLES: usize = 5;
 
@@ -202,12 +190,6 @@ pub const KNOBS: &[Knob] = &[
         doc: "Quadrature trajectory-report path; empty disables writing.",
     },
     Knob {
-        name: names::QUAD_BASELINE,
-        kind: KnobKind::Path,
-        default: "the committed trajectory",
-        doc: "Overrides the quadrature gate's baseline trajectory file.",
-    },
-    Knob {
         name: names::BENCH_GATE,
         kind: KnobKind::Flag,
         default: "off",
@@ -220,22 +202,10 @@ pub const KNOBS: &[Knob] = &[
         doc: "Pool sizes swept by the service bench.",
     },
     Knob {
-        name: names::SERVICE_BENCH_SHARDS,
-        kind: KnobKind::CountList,
-        default: "8",
-        doc: "Shard counts swept by the service bench.",
-    },
-    Knob {
         name: names::SERVICE_BENCH_EXECUTORS,
         kind: KnobKind::CountList,
         default: "1,4",
         doc: "Executor counts swept by the service bench.",
-    },
-    Knob {
-        name: names::SERVICE_BENCH_TASKS,
-        kind: KnobKind::Count,
-        default: "10",
-        doc: "Golden questions per worker in the service bench round.",
     },
     Knob {
         name: names::SERVICE_BENCH_SAMPLES,
@@ -248,12 +218,6 @@ pub const KNOBS: &[Knob] = &[
         kind: KnobKind::Path,
         default: "BENCH_service.json at the workspace root",
         doc: "Service trajectory-report path; empty disables writing.",
-    },
-    Knob {
-        name: names::SERVICE_BASELINE,
-        kind: KnobKind::Path,
-        default: "the committed trajectory",
-        doc: "Overrides the service gate's baseline trajectory file.",
     },
     Knob {
         name: names::LINT_ROOT,
@@ -360,15 +324,6 @@ impl PathKnob {
         }
     }
 
-    /// Baseline-path semantics: only an explicit non-empty path overrides
-    /// `fallback`.
-    pub fn or_fallback(&self, fallback: PathBuf) -> PathBuf {
-        match self {
-            PathKnob::Set(p) => p.clone(),
-            _ => fallback,
-        }
-    }
-
     /// Cache-directory semantics: only an explicit non-empty path enables.
     pub fn set_path(&self) -> Option<PathBuf> {
         match self {
@@ -464,24 +419,16 @@ pub struct C4uEnv {
     pub quad_samples: usize,
     /// `C4U_QUAD_REPORT` — quadrature trajectory-report path.
     pub quad_report: PathKnob,
-    /// `C4U_QUAD_BASELINE` — quadrature gate baseline override.
-    pub quad_baseline: PathKnob,
     /// `C4U_BENCH_GATE` — whether the trajectory regression gates are armed.
     pub bench_gate: bool,
     /// `C4U_SERVICE_BENCH_WORKERS` — service-bench pool sizes.
     pub service_bench_workers: Vec<usize>,
-    /// `C4U_SERVICE_BENCH_SHARDS` — service-bench shard counts.
-    pub service_bench_shards: Vec<usize>,
     /// `C4U_SERVICE_BENCH_EXECUTORS` — service-bench executor counts.
     pub service_bench_executors: Vec<usize>,
-    /// `C4U_SERVICE_BENCH_TASKS` — golden questions per service-bench worker.
-    pub service_bench_tasks: usize,
     /// `C4U_SERVICE_BENCH_SAMPLES` — timing samples per service cell.
     pub service_bench_samples: usize,
     /// `C4U_SERVICE_REPORT` — service trajectory-report path.
     pub service_report: PathKnob,
-    /// `C4U_SERVICE_BASELINE` — service gate baseline override.
-    pub service_baseline: PathKnob,
     /// `C4U_LINT_ROOT` — c4u-lint workspace-root override, if set.
     pub lint_root: Option<PathBuf>,
 }
@@ -505,30 +452,20 @@ impl C4uEnv {
             quad_nodes: parse_count_list(var(names::QUAD_NODES).as_deref(), DEFAULT_QUAD_NODES),
             quad_samples: parse_count(var(names::QUAD_SAMPLES).as_deref(), DEFAULT_QUAD_SAMPLES),
             quad_report: PathKnob::from_raw(var_os(names::QUAD_REPORT)),
-            quad_baseline: PathKnob::from_raw(var_os(names::QUAD_BASELINE)),
             bench_gate: parse_flag(var(names::BENCH_GATE).as_deref()),
             service_bench_workers: parse_count_list(
                 var(names::SERVICE_BENCH_WORKERS).as_deref(),
                 DEFAULT_SERVICE_BENCH_WORKERS,
             ),
-            service_bench_shards: parse_count_list(
-                var(names::SERVICE_BENCH_SHARDS).as_deref(),
-                DEFAULT_SERVICE_BENCH_SHARDS,
-            ),
             service_bench_executors: parse_count_list(
                 var(names::SERVICE_BENCH_EXECUTORS).as_deref(),
                 DEFAULT_SERVICE_BENCH_EXECUTORS,
-            ),
-            service_bench_tasks: parse_count(
-                var(names::SERVICE_BENCH_TASKS).as_deref(),
-                DEFAULT_SERVICE_BENCH_TASKS,
             ),
             service_bench_samples: parse_count(
                 var(names::SERVICE_BENCH_SAMPLES).as_deref(),
                 DEFAULT_SERVICE_BENCH_SAMPLES,
             ),
             service_report: PathKnob::from_raw(var_os(names::SERVICE_REPORT)),
-            service_baseline: PathKnob::from_raw(var_os(names::SERVICE_BASELINE)),
             lint_root: var_os(names::LINT_ROOT).map(PathBuf::from),
         }
     }
@@ -622,13 +559,9 @@ mod tests {
         assert_eq!(unset.or_default(default.clone()), Some(default.clone()));
         assert_eq!(disabled.or_default(default.clone()), None);
         assert_eq!(
-            set.or_default(default.clone()),
+            set.or_default(default),
             Some(PathBuf::from("out/report.json"))
         );
-
-        assert_eq!(unset.or_fallback(default.clone()), default);
-        assert_eq!(disabled.or_fallback(default.clone()), default);
-        assert_eq!(set.or_fallback(default), PathBuf::from("out/report.json"));
 
         assert_eq!(unset.set_path(), None);
         assert_eq!(disabled.set_path(), None);
