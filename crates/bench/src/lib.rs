@@ -2,7 +2,8 @@
 //!
 //! Experiment harness for the C4U reproduction: shared machinery used by the bench
 //! targets that regenerate every table and figure of the paper's evaluation
-//! (Tables II–V, Figures 5–7, and the Sec. V-H timing/correlation discussion).
+//! (Tables II–V, Figures 5–7, and the Sec. V-H correlation discussion; the
+//! Sec. V-H running times are measured by the committed `perfbench/` benchmark).
 //!
 //! Each bench target (`cargo bench -p c4u-bench --bench <name>`) prints the rows or
 //! series the corresponding table/figure reports; `EXPERIMENTS.md` records one run of
@@ -30,18 +31,15 @@
 //!   bit-identical default for the table/figure benches), `fast_vector` (the
 //!   lane-chunked polynomial `exp`), or `both` (the `quadrature` roofline
 //!   bench's default, timing the two modes side by side);
-//! * `C4U_SERVICE_BENCH_WORKERS` / `C4U_SERVICE_BENCH_EXECUTORS` /
-//!   `C4U_SERVICE_BENCH_SAMPLES` / `C4U_SERVICE_REPORT` — the same for the
-//!   `service` bench;
-//! * `C4U_BENCH_GATE` — set to `1` to make the `quadrature` and `service`
-//!   benches fail when a cell's gated metric regresses more than
+//! * `C4U_BENCH_GATE` — set to `1` to make the `quadrature` bench fail
+//!   when a cell's gated metric regresses more than
 //!   [`GATE_REGRESSION_LIMIT`] against the newest run of the committed
 //!   trajectory, or when no cell matches that run at all.
 //!
-//! Both trajectory benches share one report pipeline (see the [`report`]
-//! module): a cell renders as a [`report::Row`] of identity and metric
-//! fields, and a [`report::Trajectory`] names the file, the identity keys,
-//! and the gated metric.
+//! The trajectory bench's report pipeline lives in the [`report`] module: a
+//! cell renders as a [`report::Row`] of identity and metric fields, and a
+//! [`report::Trajectory`] names the file, the identity keys, and the gated
+//! metric.
 //!
 //! Dataset generation is memoised process-wide ([`cached_generate`]): sweep
 //! cells sharing a configuration share one generated dataset, so a table that
@@ -58,9 +56,7 @@ pub mod cache;
 pub mod report;
 
 pub use cache::{cell_cache_dir, SweepStats, CELL_CACHE_ENV};
-pub use report::{
-    math_tag, QuadratureCell, ServiceCell, GATE_REGRESSION_LIMIT, QUADRATURE, SERVICE,
-};
+pub use report::{math_tag, QuadratureCell, GATE_REGRESSION_LIMIT, QUADRATURE};
 
 use c4u_crowd_sim::{generate, CampaignSchedule, Dataset, DatasetConfig, Platform, SimError};
 use c4u_env::{C4uEnv, QuadMathKnob};

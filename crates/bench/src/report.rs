@@ -1,9 +1,8 @@
 //! Machine-readable bench reports (`BENCH_*.json`).
 //!
-//! The `quadrature` and `service` bench targets each emit one **run** — a
-//! list of per-cell medians over their sweeps — into a committed trajectory
-//! file, so the repository records how the hot-path throughput evolves across
-//! changes. The format is a single JSON document with one run object per
+//! The `quadrature` bench target emits one **run** — a list of per-cell
+//! medians over its sweep — into a committed trajectory file, so the
+//! repository records how the hot-path throughput evolves across changes. The format is a single JSON document with one run object per
 //! line:
 //!
 //! ```json
@@ -13,7 +12,7 @@
 //! ]}
 //! ```
 //!
-//! Every bench shares one pipeline. A cell is a [`Row`]: its identity fields
+//! A cell is a [`Row`]: its identity fields
 //! followed by its metric fields, each value held as raw JSON text. A
 //! [`Trajectory`] names the bench tag, the committed file, the identity keys,
 //! and the one metric the gate bounds; [`Trajectory::open`] (before the
@@ -145,56 +144,6 @@ pub fn math_tag(math: QuadratureMath) -> &'static str {
     }
 }
 
-/// One `(workers, tasks, shards, executors)` cell of the service sweep:
-/// median wall-clock of one full learning round through the
-/// `c4u_service::ShardService` executor pool and through the in-process
-/// sharded reference path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceCell {
-    /// Workers answering the round (the pool size).
-    pub workers: usize,
-    /// Golden questions per worker in the round.
-    pub tasks: usize,
-    /// Worker-range shards the round fans out over.
-    pub shards: usize,
-    /// Executor threads of the service (`0` identifies the in-process
-    /// reference rows in mixed sweeps; the committed sweep uses >= 1).
-    pub executors: usize,
-    /// Median nanoseconds of one round through the service.
-    pub service_median_ns: f64,
-    /// Median nanoseconds of the same round through
-    /// `assign_learning_batch_sharded`.
-    pub in_process_median_ns: f64,
-}
-
-impl ServiceCell {
-    /// Service nanoseconds per worker-task — the throughput quantity the gate
-    /// bounds (one answered golden question is the unit of round work).
-    pub fn ns_per_worker_task(&self) -> f64 {
-        self.service_median_ns / (self.workers * self.tasks) as f64
-    }
-
-    /// Service over in-process wall-clock: the overhead multiple the queue,
-    /// executor pool, and merging cost on this cell (1.0 = free).
-    pub fn overhead(&self) -> f64 {
-        self.service_median_ns / self.in_process_median_ns
-    }
-
-    /// The trajectory row: identity, measured medians, then derived metrics.
-    pub fn row(&self) -> Row {
-        Row::from([
-            ("workers", self.workers.to_string()),
-            ("tasks", self.tasks.to_string()),
-            ("shards", self.shards.to_string()),
-            ("executors", self.executors.to_string()),
-            ("service_median_ns", json_f64(self.service_median_ns)),
-            ("in_process_median_ns", json_f64(self.in_process_median_ns)),
-            ("ns_per_worker_task", json_f64(self.ns_per_worker_task())),
-            ("overhead", json_f64(self.overhead())),
-        ])
-    }
-}
-
 /// Renders one run (all cells of one bench invocation) as a single JSON line.
 fn render_run(rows: &[Row]) -> String {
     let rendered: Vec<String> = rows
@@ -286,14 +235,6 @@ pub const QUADRATURE: Trajectory = Trajectory {
     file: "BENCH_quadrature.json",
     keys: &["workers", "nodes", "math"],
     metric: "ns_per_worker_node",
-};
-
-/// The `service` bench's trajectory.
-pub const SERVICE: Trajectory = Trajectory {
-    bench: "service",
-    file: "BENCH_service.json",
-    keys: &["workers", "tasks", "shards", "executors"],
-    metric: "ns_per_worker_task",
 };
 
 impl Trajectory {
@@ -452,17 +393,6 @@ mod tests {
         }
     }
 
-    fn service_cell() -> ServiceCell {
-        ServiceCell {
-            workers: 100_000,
-            tasks: 10,
-            shards: 8,
-            executors: 4,
-            service_median_ns: 5_000_000.0,
-            in_process_median_ns: 4_000_000.0,
-        }
-    }
-
     /// A scratch trajectory path unique to this process and test.
     fn scratch_path(test: &str, file: &str) -> PathBuf {
         std::env::temp_dir()
@@ -483,14 +413,6 @@ mod tests {
         assert!((c.speedup() - 5.0).abs() < 1e-12);
         // 1000 * (5 * 16 + 5) * 8 bytes = 680 kB over 2 ms = 0.34 GB/s.
         assert!((c.effective_gb_per_s() - 0.34).abs() < 1e-12);
-    }
-
-    #[test]
-    fn service_derived_quantities() {
-        let c = service_cell();
-        // 5 ms over 10^6 worker-tasks = 5 ns each; 5/4 ms = 1.25x overhead.
-        assert!((c.ns_per_worker_task() - 5.0).abs() < 1e-12);
-        assert!((c.overhead() - 1.25).abs() < 1e-12);
     }
 
     #[test]
@@ -515,23 +437,11 @@ mod tests {
             render_run(&[quadrature.row()]),
             "{\"cells\":[{\"workers\":1000,\"nodes\":16,\"math\":\"fast_vector\",\"batched_median_ns\":152210.0,\"scalar_median_ns\":1325562.0,\"ns_per_worker_node\":9.513125,\"scalar_ns_per_worker_node\":82.847625,\"speedup\":8.708770777215689,\"effective_gb_per_s\":4.467511990013796}]}"
         );
-        let service = ServiceCell {
-            workers: 100_000,
-            tasks: 10,
-            shards: 8,
-            executors: 4,
-            service_median_ns: 31766987.0,
-            in_process_median_ns: 46420114.0,
-        };
-        assert_eq!(
-            render_run(&[service.row()]),
-            "{\"cells\":[{\"workers\":100000,\"tasks\":10,\"shards\":8,\"executors\":4,\"service_median_ns\":31766987.0,\"in_process_median_ns\":46420114.0,\"ns_per_worker_task\":31.766987,\"overhead\":0.6843366864631139}]}"
-        );
     }
 
     #[test]
     fn committed_trajectories_parse_through_the_generic_parser() {
-        for (trajectory, cells) in [(QUADRATURE, 24), (SERVICE, 4)] {
+        for (trajectory, cells) in [(QUADRATURE, 24)] {
             let rows = latest_run(&trajectory.committed_path()).unwrap();
             assert_eq!(rows.len(), cells, "{}", trajectory.file);
             for row in &rows {
@@ -650,62 +560,6 @@ mod tests {
         let mut faster = cell();
         faster.batched_median_ns = base.batched_median_ns * 0.5;
         assert!(QUADRATURE.gate(&[base.row()], &[faster.row()]).passed());
-    }
-
-    #[test]
-    fn service_run_lines_round_trip_through_the_parser() {
-        let mut wide = service_cell();
-        wide.executors = 16;
-        wide.service_median_ns = 3_000_000.0;
-        let rows = vec![service_cell().row(), wide.row()];
-        let line = render_run(&rows);
-        assert!(!line.contains('\n'));
-        assert!(line.contains("\"executors\":4"));
-        assert!(line.contains("\"executors\":16"));
-        assert_eq!(parse_run(&line), rows);
-    }
-
-    #[test]
-    fn service_appends_build_their_own_trajectory_document() {
-        let path = scratch_path("service-report", SERVICE.file);
-        let _ = fs::remove_file(&path);
-        assert_eq!(latest_run(&path), None);
-
-        SERVICE
-            .append(&path, &render_run(&[service_cell().row()]))
-            .unwrap();
-        let doc = fs::read_to_string(&path).unwrap();
-        assert!(doc.starts_with("{\"schema\":1,\"bench\":\"service\",\"runs\":[\n"));
-        assert!(doc.ends_with(CLOSER));
-
-        // The baseline is the newest appended run.
-        let mut newer = service_cell();
-        newer.service_median_ns = 4_500_000.0;
-        let newer = vec![newer.row()];
-        SERVICE.append(&path, &render_run(&newer)).unwrap();
-        assert_eq!(latest_run(&path), Some(newer));
-
-        remove(&path);
-    }
-
-    #[test]
-    fn service_gate_flags_only_regressions_beyond_the_limit() {
-        let base = service_cell();
-        let mut within = service_cell();
-        within.service_median_ns = base.service_median_ns * 1.2; // +20%: allowed
-        assert!(SERVICE.gate(&[base.row()], &[within.row()]).passed());
-
-        let mut beyond = service_cell();
-        beyond.service_median_ns = base.service_median_ns * 1.3; // +30%: flagged
-        let gate = SERVICE.gate(&[base.row()], &[beyond.row()]);
-        assert_eq!(gate.violations.len(), 1);
-        assert!(gate.violations[0].contains("workers=100000 tasks=10 shards=8 executors=4"));
-
-        // A different executor count is a different identity.
-        let mut other_layout = beyond;
-        other_layout.executors = 16;
-        let gate = SERVICE.gate(&[base.row()], &[other_layout.row()]);
-        assert_eq!(gate.matched, 0);
     }
 
     #[test]

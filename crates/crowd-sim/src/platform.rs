@@ -42,11 +42,12 @@
 use crate::dataset::Dataset;
 use crate::event::{AppliedRoundEvents, RoundEvents};
 use crate::parallel::run_indexed_jobs;
-use crate::serve::{merge_evaluation, AnswerShardRequest, EvaluateShardRequest, WorkerSnapshot};
 use crate::shard::WorkerShards;
 use crate::task::AnswerSheet;
 use crate::worker::{HistoricalProfile, SimulatedWorker, WorkerId, WorkerSpec};
 use crate::SimError;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Stream tag of the learning-task answering noise (one stream family per
 /// training round).
@@ -67,12 +68,23 @@ fn mix64(mut z: u64) -> u64 {
 /// Derives the answering seed of one (stream family, epoch, worker) event from
 /// the platform seed: each component is absorbed through a SplitMix64 step, so
 /// distinct events get statistically independent `StdRng` streams.
-pub(crate) fn worker_stream_seed(base: u64, tag: u64, epoch: u64, worker: u64) -> u64 {
+fn worker_stream_seed(base: u64, tag: u64, epoch: u64, worker: u64) -> u64 {
     let mut acc = base;
     for part in [tag, epoch, worker] {
         acc = mix64(acc.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(part));
     }
     acc
+}
+
+/// Errors unless `shards` partitions exactly `worker_ids.len()` positions.
+fn check_partition(worker_ids: &[WorkerId], shards: &WorkerShards) -> Result<(), SimError> {
+    if shards.len() != worker_ids.len() {
+        return Err(SimError::InvalidConfig {
+            what: "shard partition must cover the worker list exactly",
+            value: shards.len() as f64,
+        });
+    }
+    Ok(())
 }
 
 /// Record of one training assignment (one strategy round).
@@ -104,78 +116,6 @@ impl RoundRecord {
             .iter()
             .find(|s| s.worker == worker)
             .map(|s| s.accuracy())
-    }
-}
-
-/// A planned (not yet executed) learning round: the per-shard answering
-/// requests plus the bookkeeping needed to commit the merged sheets.
-///
-/// Produced by [`Platform::plan_learning_round`]; executed by any
-/// [`ShardExecutor`](crate::ShardExecutor) (in-process threads, a service
-/// queue, a socket transport); finalised by
-/// [`Platform::commit_learning_round`]. The plan is a pure value — executing
-/// its requests touches no platform state, so execution can happen anywhere
-/// and in any order as long as the merged sheets come back in shard order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LearningRoundPlan {
-    round: usize,
-    task_start: usize,
-    tasks_per_worker: usize,
-    requested: usize,
-    requests: Vec<AnswerShardRequest>,
-}
-
-impl LearningRoundPlan {
-    /// The per-shard answering requests, in shard (== worker) order. Empty for
-    /// a no-op round (no workers or zero tasks).
-    pub fn requests(&self) -> &[AnswerShardRequest] {
-        &self.requests
-    }
-
-    /// 1-based index this round will get in platform history.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// Learning-pool cursor position the plan was taken at.
-    pub fn task_start(&self) -> usize {
-        self.task_start
-    }
-
-    /// Number of learning tasks assigned to each worker.
-    pub fn tasks_per_worker(&self) -> usize {
-        self.tasks_per_worker
-    }
-
-    /// Total number of participating workers across all shards.
-    pub fn num_workers(&self) -> usize {
-        self.requests.iter().map(|r| r.workers.len()).sum()
-    }
-}
-
-/// A planned working-accuracy evaluation: per-shard requests whose served
-/// accuracies, flattened in shard order, merge via
-/// [`merge_evaluation`](crate::merge_evaluation).
-///
-/// Produced by [`Platform::plan_evaluation`] (which consumes one evaluation
-/// epoch unless the worker list is empty); the merge is pure, so no commit
-/// step exists.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvaluationPlan {
-    requests: Vec<EvaluateShardRequest>,
-    num_workers: usize,
-}
-
-impl EvaluationPlan {
-    /// The per-shard evaluation requests, in shard (== worker) order. Empty
-    /// when the evaluated worker list was empty.
-    pub fn requests(&self) -> &[EvaluateShardRequest] {
-        &self.requests
-    }
-
-    /// Total number of evaluated workers across all shards.
-    pub fn num_workers(&self) -> usize {
-        self.num_workers
     }
 }
 
@@ -460,67 +400,20 @@ impl Platform {
         tasks_per_worker: usize,
         shards: &WorkerShards,
     ) -> Result<RoundRecord, SimError> {
-        let plan = self.plan_learning_round(worker_ids, tasks_per_worker, shards)?;
-        // Answering phase: one scoped thread per shard request (the shard
-        // count *is* the parallelism budget, mirroring
-        // `EvalEngine::with_threads`), sheets merged back in shard == worker
-        // order. Serving is the same pure function every remote executor
-        // runs, so this path and the service path are literally one code path.
-        let requests = plan.requests();
-        let sheets = if requests.is_empty() {
-            Vec::new()
-        } else {
-            let per_shard: Vec<Vec<AnswerSheet>> =
-                run_indexed_jobs(requests.len(), requests.len(), |shard| {
-                    requests[shard].serve()
-                })?;
-            let mut sheets = Vec::with_capacity(plan.num_workers());
-            for shard_sheets in per_shard {
-                sheets.extend(shard_sheets);
-            }
-            sheets
-        };
-        self.commit_learning_round(&plan, sheets)
-    }
-
-    /// Plans a learning round without executing it: validates the assignment
-    /// exactly as [`Platform::assign_learning_batch_sharded`] does, snapshots
-    /// the participating workers, and returns one self-contained
-    /// [`AnswerShardRequest`] per shard. Platform state is untouched — the
-    /// round happens when the merged sheets are handed to
-    /// [`Platform::commit_learning_round`].
-    pub fn plan_learning_round(
-        &self,
-        worker_ids: &[WorkerId],
-        tasks_per_worker: usize,
-        shards: &WorkerShards,
-    ) -> Result<LearningRoundPlan, SimError> {
-        if shards.len() != worker_ids.len() {
-            return Err(SimError::InvalidConfig {
-                what: "shard partition must cover the worker list exactly",
-                value: shards.len() as f64,
-            });
-        }
+        check_partition(worker_ids, shards)?;
+        let round = self.history.len() + 1;
+        let task_start = self.learning_cursor;
         if worker_ids.is_empty() || tasks_per_worker == 0 {
-            return Ok(LearningRoundPlan {
-                round: self.history.len() + 1,
-                task_start: self.learning_cursor,
+            let record = RoundRecord {
+                round,
+                task_start,
                 tasks_per_worker: 0,
-                requested: 0,
-                requests: Vec::new(),
-            });
+                sheets: Vec::new(),
+            };
+            self.history.push(record.clone());
+            return Ok(record);
         }
-        for &id in worker_ids {
-            if id >= self.workers.len() {
-                return Err(SimError::UnknownWorker { id });
-            }
-            if !self.active[id] {
-                return Err(SimError::InvalidConfig {
-                    what: "worker has left the platform",
-                    value: id as f64,
-                });
-            }
-        }
+        self.check_active(worker_ids)?;
         let requested = tasks_per_worker * worker_ids.len();
         if requested > self.budget_remaining() {
             return Err(SimError::BudgetExceeded {
@@ -538,82 +431,28 @@ impl Platform {
 
         // Gold labels of the shared slice, with circular wrap-around.
         let gold: Vec<bool> = (0..tasks_per_worker)
-            .map(|i| self.learning_gold[(self.learning_cursor + i) % self.learning_gold.len()])
+            .map(|i| self.learning_gold[(task_start + i) % self.learning_gold.len()])
             .collect();
 
-        // Snapshot every participant at its pre-round accuracy: all workers in
-        // a round answer before any ground truth is revealed (Algorithm 4
-        // line 5), so the snapshots are exact regardless of where the
-        // requests execute.
-        let round = self.history.len() as u64 + 1;
-        let requests = shards
-            .ranges()
-            .map(|range| AnswerShardRequest {
-                seed: self.seed,
-                stream_tag: STREAM_LEARNING,
-                epoch: round,
-                workers: worker_ids[range]
-                    .iter()
-                    .map(|&id| WorkerSnapshot {
-                        id,
-                        accuracy: self.workers[id].current_accuracy(),
-                    })
-                    .collect(),
-                gold: gold.clone(),
-            })
-            .collect();
-        Ok(LearningRoundPlan {
-            round: self.history.len() + 1,
-            task_start: self.learning_cursor,
-            tasks_per_worker,
-            requested,
-            requests,
-        })
-    }
+        // Answering phase: every participant answers at its pre-round
+        // accuracy (Algorithm 4 line 5), one scoped thread per shard, sheets
+        // merged back in shard == worker order.
+        let sheets =
+            self.answer_shards(worker_ids, shards, STREAM_LEARNING, round as u64, &gold)?;
 
-    /// Commits a planned learning round from its merged answer sheets (shard
-    /// order — the concatenation of the per-request responses): reveals the
-    /// ground truth so every participant learns, records the round, advances
-    /// the task cursor, and spends the budget.
-    ///
-    /// Returns an error if the plan is stale (another round was committed or
-    /// the platform otherwise advanced since planning) or if the sheets do not
-    /// match the plan — a transport that loses or duplicates a batch produces
-    /// a typed error here, never a silently wrong round.
-    pub fn commit_learning_round(
-        &mut self,
-        plan: &LearningRoundPlan,
-        sheets: Vec<AnswerSheet>,
-    ) -> Result<RoundRecord, SimError> {
-        if plan.round != self.history.len() + 1 || plan.task_start != self.learning_cursor {
-            return Err(SimError::InvalidConfig {
-                what: "learning-round plan is stale: the platform advanced since planning",
-                value: plan.round as f64,
-            });
-        }
-        if sheets.len() != plan.num_workers() {
-            return Err(SimError::InvalidConfig {
-                what: "merged sheet count must match the planned worker count",
-                value: sheets.len() as f64,
-            });
-        }
         // Learning phase: reveal the ground truth and move every participant
         // along its learning curve (cheap, O(1) per worker — kept sequential).
         for sheet in &sheets {
-            self.workers
-                .get_mut(sheet.worker)
-                .ok_or(SimError::UnknownWorker { id: sheet.worker })?
-                .learn_from_batch(sheet)?;
+            self.workers[sheet.worker].learn_from_batch(sheet)?;
         }
-
         let record = RoundRecord {
-            round: plan.round,
-            task_start: plan.task_start,
-            tasks_per_worker: plan.tasks_per_worker,
+            round,
+            task_start,
+            tasks_per_worker,
             sheets,
         };
-        self.learning_cursor += plan.tasks_per_worker;
-        self.budget_spent += plan.requested;
+        self.learning_cursor += tasks_per_worker;
+        self.budget_spent += requested;
         self.history.push(record.clone());
         Ok(record)
     }
@@ -642,48 +481,31 @@ impl Platform {
         worker_ids: &[WorkerId],
         shards: &WorkerShards,
     ) -> Result<f64, SimError> {
-        let plan = self.plan_evaluation(worker_ids, shards)?;
-        let requests = plan.requests();
-        if requests.is_empty() {
+        check_partition(worker_ids, shards)?;
+        if worker_ids.is_empty() {
             return Ok(0.0);
         }
-        let per_shard: Vec<Vec<f64>> = run_indexed_jobs(requests.len(), requests.len(), |shard| {
-            requests[shard].serve()
-        })?;
-        // Flatten in worker order (shard order == worker order), so the merge
+        self.check_active(worker_ids)?;
+        let epoch = self.evaluations_run as u64;
+        self.evaluations_run += 1;
+        let sheets = self.answer_shards(
+            worker_ids,
+            shards,
+            STREAM_WORKING,
+            epoch,
+            &self.working_gold,
+        )?;
+        // Accumulate in worker order (shard order == worker order), so the
         // sum is the same float expression for every shard layout.
-        let mut per_worker = Vec::with_capacity(plan.num_workers());
-        for shard_accuracies in per_shard {
-            per_worker.extend(shard_accuracies);
+        let mut total = 0.0;
+        for sheet in &sheets {
+            total += sheet.accuracy();
         }
-        Ok(merge_evaluation(&per_worker))
+        Ok(total / sheets.len() as f64)
     }
 
-    /// Plans a working-accuracy evaluation without executing it: validates the
-    /// worker list exactly as
-    /// [`Platform::evaluate_working_accuracy_sharded`] does, consumes one
-    /// evaluation epoch (unless the list is empty — an empty evaluation is
-    /// 0.0 and draws no noise), and returns one self-contained
-    /// [`EvaluateShardRequest`] per shard. The caller serves the requests
-    /// anywhere, flattens the per-shard accuracies in shard order, and merges
-    /// them with [`merge_evaluation`](crate::merge_evaluation).
-    pub fn plan_evaluation(
-        &mut self,
-        worker_ids: &[WorkerId],
-        shards: &WorkerShards,
-    ) -> Result<EvaluationPlan, SimError> {
-        if shards.len() != worker_ids.len() {
-            return Err(SimError::InvalidConfig {
-                what: "shard partition must cover the worker list exactly",
-                value: shards.len() as f64,
-            });
-        }
-        if worker_ids.is_empty() {
-            return Ok(EvaluationPlan {
-                requests: Vec::new(),
-                num_workers: 0,
-            });
-        }
+    /// Errors on the first unknown or departed worker in `worker_ids`.
+    fn check_active(&self, worker_ids: &[WorkerId]) -> Result<(), SimError> {
         for &id in worker_ids {
             if id >= self.workers.len() {
                 return Err(SimError::UnknownWorker { id });
@@ -695,28 +517,38 @@ impl Platform {
                 });
             }
         }
-        let epoch = self.evaluations_run as u64;
-        self.evaluations_run += 1;
-        let requests = shards
-            .ranges()
-            .map(|range| EvaluateShardRequest {
-                seed: self.seed,
-                stream_tag: STREAM_WORKING,
-                epoch,
-                workers: worker_ids[range]
-                    .iter()
-                    .map(|&id| WorkerSnapshot {
-                        id,
-                        accuracy: self.workers[id].current_accuracy(),
-                    })
-                    .collect(),
-                gold: self.working_gold.clone(),
-            })
-            .collect();
-        Ok(EvaluationPlan {
-            requests,
-            num_workers: worker_ids.len(),
-        })
+        Ok(())
+    }
+
+    /// Has every listed worker answer `gold` at its current accuracy, each on
+    /// its own `(seed, tag, epoch, id)` stream: one scoped thread per shard
+    /// (the shard count *is* the parallelism budget, mirroring
+    /// `EvalEngine::with_threads`), sheets returned in worker order.
+    fn answer_shards(
+        &self,
+        worker_ids: &[WorkerId],
+        shards: &WorkerShards,
+        tag: u64,
+        epoch: u64,
+        gold: &[bool],
+    ) -> Result<Vec<AnswerSheet>, SimError> {
+        let num_shards = shards.num_shards();
+        let per_shard: Vec<Vec<AnswerSheet>> = run_indexed_jobs(num_shards, num_shards, |shard| {
+            worker_ids[shards.range(shard)]
+                .iter()
+                .map(|&id| {
+                    let seed = worker_stream_seed(self.seed, tag, epoch, id as u64);
+                    let answers =
+                        self.workers[id].answer_tasks(&mut StdRng::seed_from_u64(seed), gold);
+                    AnswerSheet::new(id, answers, gold.to_vec())
+                })
+                .collect()
+        })?;
+        let mut sheets = Vec::with_capacity(worker_ids.len());
+        for shard_sheets in per_shard {
+            sheets.extend(shard_sheets);
+        }
+        Ok(sheets)
     }
 
     /// Average *true* (noise-free) accuracy of the listed workers — a lower-variance

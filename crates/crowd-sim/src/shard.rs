@@ -14,8 +14,7 @@
 //! from the platform seed by worker id), the shard layout carries **no**
 //! entropy: any shard count, including the single-shard "unsharded" layout,
 //! produces bit-for-bit identical records. The shard boundary is therefore
-//! purely an execution concern — and it is exactly the queue/worker-shard
-//! boundary a future asynchronous platform service will distribute over.
+//! purely an execution concern.
 //!
 //! ```
 //! use c4u_crowd_sim::WorkerShards;

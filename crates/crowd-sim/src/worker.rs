@@ -20,10 +20,9 @@ pub type WorkerId = usize;
 /// the gold label is reproduced, otherwise it is flipped.
 ///
 /// This is the single answering expression of the whole simulator —
-/// [`SimulatedWorker::answer_tasks`] and the shard-serving requests
-/// ([`crate::AnswerShardRequest`]) both delegate here, so every execution path
-/// (in-process, sharded, remote service) draws the same floats in the same
-/// order and produces bit-for-bit identical answers.
+/// [`SimulatedWorker::answer_tasks`] delegates here, so every platform path
+/// (sequential or sharded) draws the same floats in the same order and
+/// produces bit-for-bit identical answers.
 pub fn answer_with_accuracy<R: Rng + ?Sized>(
     rng: &mut R,
     accuracy: f64,
@@ -509,5 +508,14 @@ mod tests {
             accs
         };
         assert_eq!(run(99), run(99));
+    }
+
+    #[test]
+    fn extreme_accuracies_are_exact() {
+        let gold = vec![true, false, true, true];
+        let mut rng = StdRng::seed_from_u64(7);
+        assert_eq!(answer_with_accuracy(&mut rng, 1.0, &gold), gold);
+        let flipped: Vec<bool> = gold.iter().map(|g| !g).collect();
+        assert_eq!(answer_with_accuracy(&mut rng, 0.0, &gold), flipped);
     }
 }

@@ -27,8 +27,8 @@
 //! Only *unknown names* warn; known names with odd values keep the documented
 //! fallback semantics.
 //!
-//! The crate is dependency-free so every layer (service, bench, examples) can
-//! use it without cycles.
+//! The crate is dependency-free so every layer (the bench harness, the
+//! examples, the facade crate) can use it without cycles.
 
 #![forbid(unsafe_code)]
 
@@ -57,16 +57,8 @@ pub mod names {
     pub const QUAD_SAMPLES: &str = "C4U_QUAD_SAMPLES";
     /// Quadrature trajectory-report path (empty disables writing).
     pub const QUAD_REPORT: &str = "C4U_QUAD_REPORT";
-    /// `1` arms the bench regression gates.
+    /// `1` arms the quadrature bench regression gate.
     pub const BENCH_GATE: &str = "C4U_BENCH_GATE";
-    /// Pool sizes swept by the `service` bench.
-    pub const SERVICE_BENCH_WORKERS: &str = "C4U_SERVICE_BENCH_WORKERS";
-    /// Executor counts swept by the `service` bench.
-    pub const SERVICE_BENCH_EXECUTORS: &str = "C4U_SERVICE_BENCH_EXECUTORS";
-    /// Timing samples per `service` bench cell.
-    pub const SERVICE_BENCH_SAMPLES: &str = "C4U_SERVICE_BENCH_SAMPLES";
-    /// Service trajectory-report path (empty disables writing).
-    pub const SERVICE_REPORT: &str = "C4U_SERVICE_REPORT";
     /// Workspace root override for `c4u-lint` (which stays dependency-free
     /// and reads this itself; registered here so the table documents it and
     /// the unknown-name scan accepts it).
@@ -85,12 +77,6 @@ pub const DEFAULT_QUAD_SAMPLES: usize = 7;
 pub const DEFAULT_QUAD_WORKERS: &[usize] = &[1_000, 10_000, 100_000, 1_000_000];
 /// Default Gauss–Legendre orders of the quadrature roofline sweep.
 pub const DEFAULT_QUAD_NODES: &[usize] = &[16, 32, 64];
-/// Default pool sizes of the service bench sweep.
-pub const DEFAULT_SERVICE_BENCH_WORKERS: &[usize] = &[100_000, 1_000_000];
-/// Default executor counts of the service bench sweep.
-pub const DEFAULT_SERVICE_BENCH_EXECUTORS: &[usize] = &[1, 4];
-/// Default timing samples per service bench cell.
-pub const DEFAULT_SERVICE_BENCH_SAMPLES: usize = 5;
 
 /// The value shape of a knob, shown in the rendered table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,31 +179,7 @@ pub const KNOBS: &[Knob] = &[
         name: names::BENCH_GATE,
         kind: KnobKind::Flag,
         default: "off",
-        doc: "`1` makes the trajectory benches fail on >25% per-cell regressions.",
-    },
-    Knob {
-        name: names::SERVICE_BENCH_WORKERS,
-        kind: KnobKind::CountList,
-        default: "100000,1000000",
-        doc: "Pool sizes swept by the service bench.",
-    },
-    Knob {
-        name: names::SERVICE_BENCH_EXECUTORS,
-        kind: KnobKind::CountList,
-        default: "1,4",
-        doc: "Executor counts swept by the service bench.",
-    },
-    Knob {
-        name: names::SERVICE_BENCH_SAMPLES,
-        kind: KnobKind::Count,
-        default: "5",
-        doc: "Timing samples per service cell (the median is reported).",
-    },
-    Knob {
-        name: names::SERVICE_REPORT,
-        kind: KnobKind::Path,
-        default: "BENCH_service.json at the workspace root",
-        doc: "Service trajectory-report path; empty disables writing.",
+        doc: "`1` makes the quadrature bench fail on >25% per-cell regressions.",
     },
     Knob {
         name: names::LINT_ROOT,
@@ -419,16 +381,8 @@ pub struct C4uEnv {
     pub quad_samples: usize,
     /// `C4U_QUAD_REPORT` — quadrature trajectory-report path.
     pub quad_report: PathKnob,
-    /// `C4U_BENCH_GATE` — whether the trajectory regression gates are armed.
+    /// `C4U_BENCH_GATE` — whether the trajectory regression gate is armed.
     pub bench_gate: bool,
-    /// `C4U_SERVICE_BENCH_WORKERS` — service-bench pool sizes.
-    pub service_bench_workers: Vec<usize>,
-    /// `C4U_SERVICE_BENCH_EXECUTORS` — service-bench executor counts.
-    pub service_bench_executors: Vec<usize>,
-    /// `C4U_SERVICE_BENCH_SAMPLES` — timing samples per service cell.
-    pub service_bench_samples: usize,
-    /// `C4U_SERVICE_REPORT` — service trajectory-report path.
-    pub service_report: PathKnob,
     /// `C4U_LINT_ROOT` — c4u-lint workspace-root override, if set.
     pub lint_root: Option<PathBuf>,
 }
@@ -453,19 +407,6 @@ impl C4uEnv {
             quad_samples: parse_count(var(names::QUAD_SAMPLES).as_deref(), DEFAULT_QUAD_SAMPLES),
             quad_report: PathKnob::from_raw(var_os(names::QUAD_REPORT)),
             bench_gate: parse_flag(var(names::BENCH_GATE).as_deref()),
-            service_bench_workers: parse_count_list(
-                var(names::SERVICE_BENCH_WORKERS).as_deref(),
-                DEFAULT_SERVICE_BENCH_WORKERS,
-            ),
-            service_bench_executors: parse_count_list(
-                var(names::SERVICE_BENCH_EXECUTORS).as_deref(),
-                DEFAULT_SERVICE_BENCH_EXECUTORS,
-            ),
-            service_bench_samples: parse_count(
-                var(names::SERVICE_BENCH_SAMPLES).as_deref(),
-                DEFAULT_SERVICE_BENCH_SAMPLES,
-            ),
-            service_report: PathKnob::from_raw(var_os(names::SERVICE_REPORT)),
             lint_root: var_os(names::LINT_ROOT).map(PathBuf::from),
         }
     }

@@ -214,13 +214,11 @@ fn unwrap_rule_only_covers_numerical_crates() {
             "{path} should be out of scope, got: {diags:?}"
         );
     }
-    // The service crate's library code is in scope: its failure contract is
-    // "typed error, never a wrong answer", and a panicking coordinator would
-    // void it.
+    // Library code of a numerical crate outside `src/lib.rs` is in scope.
     let diags = lint_fixture(
         "no-unwrap-in-lib",
         "violation.rs",
-        "crates/service/src/coordinator.rs",
+        "crates/selection/src/framework.rs",
     );
     assert!(diags.iter().any(|d| d.rule == rules::NO_UNWRAP_IN_LIB));
 }
