@@ -13,7 +13,10 @@
 //! per `update()` — one per unique mask per likelihood sweep, so the counts
 //! read directly as likelihood sweeps per epoch: `2 x (D+1)(D+4)/2` for the
 //! central-difference stencil against `1` for the analytic oracle (a 28x
-//! sweep reduction at `D = 3`).
+//! sweep reduction at `D = 3`). Next to them it prints the work units of the
+//! analytic oracle's factored sweep per epoch: distinct profiles (one
+//! Gaussian row each), distinct cells (three dot products each) and distinct
+//! `(correct, wrong)` pairs (count-factor rows, built once per `update()`).
 //!
 //! ```bash
 //! cargo bench -p c4u-bench --bench cpe_gradient
@@ -139,12 +142,12 @@ fn bench_cpe_gradient(c: &mut Criterion) {
     // non-empty mask, so the factorisation counter reads directly as sweeps.
     println!("\nLikelihood sweeps per update() (epochs = {epochs}, via factorisation counts):");
     println!(
-        "  {:>8} {:>8} {:>6} {:>18} {:>12} {:>8}",
-        "pool", "workers", "cells", "finite-difference", "analytic", "ratio"
+        "  {:>8} {:>8} {:>8} {:>6} {:>6} {:>18} {:>12} {:>8}",
+        "pool", "workers", "profiles", "cells", "pairs", "finite-difference", "analytic", "ratio"
     );
     for (pool, workers) in POOLS.into_iter().flat_map(|p| [(p, 64usize), (p, 256)]) {
         let observations = pool.observations(workers);
-        let cells = MaskGroups::build(&observations, NUM_DOMAINS).num_unique_cells();
+        let groups = MaskGroups::build(&observations, NUM_DOMAINS);
         let mut counts = [0u64; 2];
         let mut means = [0.0f64; 2];
         for (slot, (_, oracle)) in oracles.iter().enumerate() {
@@ -164,10 +167,12 @@ fn bench_cpe_gradient(c: &mut Criterion) {
             means[1]
         );
         println!(
-            "  {:>8} {:>8} {:>6} {:>18} {:>12} {:>7.1}x",
+            "  {:>8} {:>8} {:>8} {:>6} {:>6} {:>18} {:>12} {:>7.1}x",
             pool.name(),
             workers,
-            cells,
+            groups.num_unique_profiles(),
+            groups.num_unique_cells(),
+            groups.count_pairs().len(),
             fd,
             analytic,
             fd as f64 / analytic.max(1) as f64

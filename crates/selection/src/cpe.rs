@@ -331,11 +331,19 @@ impl CrossDomainEstimator {
     ///
     /// The observations are mask-grouped **once** at entry, and within each
     /// mask their distinct profiles and distinct `(profile, correct, wrong)`
-    /// cells are numbered. Every objective evaluation of the gradient oracle
-    /// then factorises one conditioner per unique missing-domain mask, and
-    /// runs one solve per distinct profile and one sweep cell per distinct
-    /// cell, per epoch. Members sharing a cell share its bits, so the result
-    /// is the per-worker loop's, bit for bit.
+    /// cells are numbered; the count factors of the distinct `(correct,
+    /// wrong)` pairs are tabulated once too. With the default
+    /// [`CpeGradient::Analytic`] oracle each epoch then factorises one
+    /// conditioner per unique missing-domain mask, computes one conditional
+    /// mean `mu_T + alpha . (x - mu_G)` and one Gaussian row per distinct
+    /// profile, spends three node-length dot products per distinct cell, and
+    /// runs one observed-block solve per mask for the backpropagation. That
+    /// gradient tracks the per-cell sweep and per-profile solves it replaced
+    /// to rounding (`tests/kernel_equivalence.rs` holds it to the recorded
+    /// per-member result within `1e-12` relative), except where the per-cell
+    /// sweep underflowed to `-inf`: there the factored sweep stays finite.
+    /// The [`CpeGradient::FiniteDifference`] update goes through the log-Z-only
+    /// likelihood and stays the per-worker loop's, bit for bit.
     pub fn update(&mut self, observations: &[CpeObservation]) -> Result<(), SelectionError> {
         if observations.is_empty() {
             return Ok(());
@@ -355,9 +363,10 @@ impl CrossDomainEstimator {
             self.config.quadrature_math,
         );
 
+        let mut params = Vec::with_capacity(n_mean + n_cov);
         for _ in 0..self.config.epochs {
             // Pack the current parameters.
-            let mut params = Vec::with_capacity(n_mean + n_cov);
+            params.clear();
             params.extend_from_slice(&self.mean);
             params.extend(lower_triangle(&self.covariance));
 

@@ -16,9 +16,10 @@
 //!    order, so everything stays deterministic) and caches each member's
 //!    observed values;
 //! 2. per model evaluation, the kernel asks the model for **one**
-//!    [`Conditioner`](c4u_stats::Conditioner) per unique mask and applies it to
-//!    the group's profiles — an `O(g^2)` triangular solve instead of an
-//!    `O(g^3)` factorisation per worker;
+//!    [`Conditioner`](c4u_stats::Conditioner) per unique mask. The likelihood
+//!    and prediction paths apply it to the group's profiles — an `O(g^2)`
+//!    triangular solve instead of an `O(g^3)` factorisation per worker; the
+//!    gradient path needs no per-profile solve at all (see layer 4);
 //! 3. the Eq. 5 normalisers and Eq. 8 posterior means of a whole group are
 //!    computed by **one** batched structure-of-arrays quadrature sweep per
 //!    unique mask ([`c4u_stats::BinomialNormalBatch`], node tables built once
@@ -26,11 +27,20 @@
 //!    `binomial_normal_log_z` call per worker;
 //! 4. within a group, the same build also numbers the **distinct profiles**
 //!    (observed values compared by [`f64::to_bits`]) and the **distinct
-//!    cells** `(profile, correct, wrong)`. Profiles are multiples of
+//!    cells** `(profile, correct, wrong)`, and over all groups the distinct
+//!    `(correct, wrong)` **count pairs**. Profiles are multiples of
 //!    `1 / prior_tasks_per_domain` and answer counts are small integers, so
-//!    thousands of workers share a cell. Each model evaluation runs one
-//!    conditioning solve per distinct profile and one sweep cell per distinct
-//!    cell, then fans the results out to the members in their original order.
+//!    thousands of workers share a cell. The likelihood and prediction paths
+//!    run one conditioning solve per distinct profile and one sweep cell per
+//!    distinct cell, then fan the results out to the members in their
+//!    original order. The Eq. 6–7 gradient path factors the integrand
+//!    instead: the kernel tabulates each count pair's binomial factor over
+//!    the nodes once ([`c4u_stats::CountFactors`]); each epoch computes each
+//!    profile's conditional mean as `mu_T + alpha . (x - mu_G)`, one Gaussian
+//!    row per profile, and three node-length dot products per cell
+//!    ([`BinomialNormalBatch::log_z_gradients_factored_into`]); and the
+//!    backpropagation runs **one** observed-block solve per mask
+//!    ([`Conditioner::solve`]) on `Σ_i ∂m_i (x_i - mu_G)`.
 //!
 //! The factorisation count per `update()` therefore drops from
 //! `O(epochs x params x workers)` to `O(epochs x params x unique_masks)` —
@@ -38,15 +48,29 @@
 //! default), the `params` factor disappears entirely: one vectorised sweep
 //! per unique mask per epoch, over that mask's distinct cells. The
 //! batched-sweep count obeys the same contract (`O(unique_masks)` per
-//! likelihood or prediction pass, pinned by `tests/quadrature_batching.rs`
-//! through the `c4u_stats` sweep counters).
-//! Results are **bit-for-bit identical** to the per-observation loop: the
-//! cached factorisation and the batched sweep perform exactly the same
+//! likelihood, gradient or prediction pass, pinned by
+//! `tests/quadrature_batching.rs` through the `c4u_stats` sweep counters).
+//!
+//! The prediction, log-Z-only likelihood and finite-difference paths are
+//! **bit-for-bit identical** to the per-observation loop: the cached
+//! factorisation and the batched sweep perform exactly the same
 //! floating-point operations, every solve and every sweep cell is a pure
 //! function of its own inputs (so members sharing a cell share its bits),
 //! per-observation terms are accumulated in the original observation order,
 //! and `tests/kernel_equivalence.rs` pins this against a literal transcription
 //! of the historical code, including on a heavily duplicated quantised pool.
+//! The analytic gradient path is **tolerance-pinned** instead: the factored
+//! sweep and the one-solve-per-mask backpropagation round differently from
+//! the per-cell sweep and per-profile solves, so `c4u-stats` holds each cell
+//! to the per-cell sweep (`log Z` within `1e-13 (1 + |log Z|)`, `∂m·sigma`
+//! within `1e-11`, `∂v·2sigma²` within `1e-10`) and
+//! `tests/kernel_equivalence.rs` holds a whole `update()` to the recorded
+//! per-member result within `1e-12` relative. Where the per-cell sweep's
+//! bracketing-grid shift underflows every node term (a conditional sd far
+//! below the node spacing), it returned `-inf` and a zero gradient; the
+//! factored sweep shifts each factor by its own node maximum and stays
+//! finite, and a cell whose factored normaliser does underflow falls back to
+//! the per-cell arithmetic bit for bit.
 //!
 //! ## Usage
 //!
@@ -85,10 +109,9 @@ pub mod gradient;
 
 use super::CpeObservation;
 use crate::SelectionError;
-use c4u_linalg::Vector;
 use c4u_stats::{
-    BinomialNormalBatch, Conditioner, GaussLegendre, LogZGradient, MultivariateNormal,
-    QuadratureMath, QuadratureScratch,
+    BinomialNormalBatch, Conditioner, CountFactors, GaussLegendre, LogZGradient,
+    MultivariateNormal, QuadratureMath, QuadratureScratch,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -119,6 +142,13 @@ pub struct MaskGroup {
     cell_correct: Vec<f64>,
     /// Per distinct cell: its wrong-answer count, as the sweep consumes it.
     cell_wrong: Vec<f64>,
+    /// The distinct cells as `(profile, count pair)` keys (the pair indexes
+    /// [`MaskGroups::count_pairs`]), profile by profile: the input order of
+    /// the factored gradient sweep, which builds one Gaussian row per run of
+    /// equal profiles.
+    sweep_cells: Vec<(usize, usize)>,
+    /// Per distinct cell: its position in `sweep_cells`.
+    sweep_slot: Vec<usize>,
 }
 
 impl MaskGroup {
@@ -168,12 +198,27 @@ impl MaskGroup {
             .iter()
             .map(|&member| self.values[member].as_slice())
     }
+
+    /// Sorts `sweep_cells` (filled in cell order) stably by profile and
+    /// records each cell's slot in it.
+    fn order_sweep_cells(&mut self) {
+        let mut order: Vec<usize> = (0..self.num_cells()).collect();
+        order.sort_by_key(|&cell| self.cell_profile[cell]);
+        self.sweep_slot = vec![0; order.len()];
+        for (slot, &cell) in order.iter().enumerate() {
+            self.sweep_slot[cell] = slot;
+        }
+        self.sweep_cells = order.iter().map(|&cell| self.sweep_cells[cell]).collect();
+    }
 }
 
 /// A partition of a set of [`CpeObservation`]s by observed-domain mask.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaskGroups {
     groups: Vec<MaskGroup>,
+    /// The distinct `(correct, wrong)` pairs over all groups, in
+    /// first-occurrence order.
+    count_pairs: Vec<(usize, usize)>,
     num_observations: usize,
 }
 
@@ -181,15 +226,17 @@ impl MaskGroups {
     /// Groups the observations by which prior domains they have a record on,
     /// and within each group numbers the distinct profiles and cells.
     ///
-    /// Groups, profiles and cells appear in order of first occurrence, and
-    /// members keep their original relative order, so downstream iteration is
-    /// deterministic.
+    /// Groups, profiles, cells and count pairs appear in order of first
+    /// occurrence, and members keep their original relative order, so
+    /// downstream iteration is deterministic.
     pub fn build(observations: &[CpeObservation], num_domains: usize) -> Self {
         let mut groups: Vec<MaskGroup> = Vec::new();
+        let mut count_pairs: Vec<(usize, usize)> = Vec::new();
         // Lookup tables only, never iterated: numbering comes from the vectors.
         let mut index_of: HashMap<Vec<usize>, usize> = HashMap::new();
         let mut profile_index: HashMap<(usize, Vec<u64>), usize> = HashMap::new();
-        let mut cell_index: HashMap<(usize, usize, usize, usize), usize> = HashMap::new();
+        let mut pair_index: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut cell_index: HashMap<(usize, usize, usize), usize> = HashMap::new();
         for (position, obs) in observations.iter().enumerate() {
             let (idx, values) = observed_domains(obs, num_domains);
             let g = *index_of.entry(idx).or_insert_with_key(|idx| {
@@ -203,6 +250,8 @@ impl MaskGroups {
                     cell_profile: Vec::new(),
                     cell_correct: Vec::new(),
                     cell_wrong: Vec::new(),
+                    sweep_cells: Vec::new(),
+                    sweep_slot: Vec::new(),
                 });
                 groups.len() - 1
             });
@@ -213,23 +262,44 @@ impl MaskGroups {
                 group.profile_first.push(member);
                 group.profile_first.len() - 1
             });
-            let cell = *cell_index
-                .entry((g, profile, obs.correct, obs.wrong))
+            let pair = *pair_index
+                .entry((obs.correct, obs.wrong))
                 .or_insert_with(|| {
-                    group.cell_profile.push(profile);
-                    group.cell_correct.push(obs.correct as f64);
-                    group.cell_wrong.push(obs.wrong as f64);
-                    group.cell_profile.len() - 1
+                    count_pairs.push((obs.correct, obs.wrong));
+                    count_pairs.len() - 1
                 });
+            let cell = *cell_index.entry((g, profile, pair)).or_insert_with(|| {
+                group.cell_profile.push(profile);
+                group.cell_correct.push(obs.correct as f64);
+                group.cell_wrong.push(obs.wrong as f64);
+                group.sweep_cells.push((profile, pair));
+                group.cell_profile.len() - 1
+            });
             group.members.push(position);
             group.values.push(values);
             group.profile_of.push(profile);
             group.cell_of.push(cell);
         }
+        for group in &mut groups {
+            group.order_sweep_cells();
+        }
         Self {
             groups,
+            count_pairs,
             num_observations: observations.len(),
         }
+    }
+
+    /// The distinct `(correct, wrong)` pairs over all groups, in
+    /// first-occurrence order: the rows of the kernel's count-factor table.
+    pub fn count_pairs(&self) -> &[(usize, usize)] {
+        &self.count_pairs
+    }
+
+    /// Number of distinct observed-value profiles over all groups: the
+    /// conditional means one model evaluation computes.
+    pub fn num_unique_profiles(&self) -> usize {
+        self.groups.iter().map(MaskGroup::num_profiles).sum()
     }
 
     /// The groups, in first-occurrence order.
@@ -271,6 +341,9 @@ pub struct CpeLikelihoodKernel<'a> {
     /// likelihood, prediction and gradient paths (the rule itself is no longer
     /// needed afterwards — every sweep runs over these tables).
     batch: BinomialNormalBatch,
+    /// The count factors of [`MaskGroups::count_pairs`] over the batch's
+    /// nodes, built once per kernel for the factored gradient sweep.
+    count_factors: CountFactors,
     /// Reused per-sweep buffers (conditional means, sweep outputs, quadrature
     /// node scratch), shared by the likelihood, prediction and gradient paths.
     /// Behind a `RefCell` because every evaluation entry point takes `&self`;
@@ -297,14 +370,14 @@ struct KernelScratch {
     mean: Vec<f64>,
     /// All-zero counts stand-in for posterior-free prediction.
     zeros: Vec<f64>,
-    /// Per-cell `(mu, correct, wrong)` triples (gradient path).
-    obs: Vec<(f64, f64, f64)>,
     /// Per-cell `log Z` gradients (gradient path).
     grads: Vec<LogZGradient>,
-    /// Per-profile observed-block solves `w` (gradient path).
-    solves: Vec<Vector>,
-    /// Group-level `Σ_i (∂L/∂m_i) w_i` accumulator (gradient path).
-    dm_w: Vec<f64>,
+    /// Per-profile `Σ_i ∂L/∂m_i` over the profile's members (gradient path).
+    profile_dm: Vec<f64>,
+    /// Group-level `Σ_i (∂L/∂m_i)(x_i - mu_G)` accumulator (gradient path).
+    dm_x: Vec<f64>,
+    /// Per-observation `log Z` in observation order (gradient path).
+    per_obs_log_z: Vec<f64>,
 }
 
 impl<'a> CpeLikelihoodKernel<'a> {
@@ -337,11 +410,19 @@ impl<'a> CpeLikelihoodKernel<'a> {
         quadrature: &'a GaussLegendre,
         math: QuadratureMath,
     ) -> Self {
+        let groups = MaskGroups::build(observations, num_prior_domains);
+        let batch = BinomialNormalBatch::new_with_math(quadrature, math);
+        let counts: Vec<(f64, f64)> = groups
+            .count_pairs()
+            .iter()
+            .map(|&(c, x)| (c as f64, x as f64))
+            .collect();
         Self {
             observations,
-            groups: MaskGroups::build(observations, num_prior_domains),
+            count_factors: batch.count_factors(&counts),
+            groups,
             target: num_prior_domains,
-            batch: BinomialNormalBatch::new_with_math(quadrature, math),
+            batch,
             scratch: RefCell::new(KernelScratch::default()),
         }
     }

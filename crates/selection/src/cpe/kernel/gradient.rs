@@ -4,23 +4,25 @@
 //! The Eq. 5 objective is `L = Σ_i log Z_i` with
 //! `Z_i = ∫_0^1 h^{C_i} (1-h)^{X_i} N(h; m_i, v) dh`, where `(m_i, v)` are the
 //! conditional mean and variance of the target accuracy given worker `i`'s
-//! observed prior domains. [`c4u_stats::BinomialNormalBatch::log_z_gradients`]
-//! (over the kernel's shared SoA node tables) supplies `∂ log Z_i / ∂ m_i` and
-//! `∂ log Z_i / ∂ v` in one vectorised sweep per mask group (the variance —
-//! and therefore the quadrature tables — is shared by every member of a
-//! group, and members sharing a `(profile, correct, wrong)` cell share one
-//! sweep cell); this module backpropagates those two
-//! scalars through the conditioning map onto the model parameters the
-//! estimator actually optimises: the mean vector and the packed lower triangle
-//! of the covariance.
+//! observed prior domains.
+//! [`c4u_stats::BinomialNormalBatch::log_z_gradients_factored_into`] supplies
+//! `∂ log Z_i / ∂ m_i` and `∂ log Z_i / ∂ v` in one factored sweep per mask
+//! group (the variance is shared by every member of a group; members sharing
+//! a `(profile, correct, wrong)` cell share one cell; each profile gets one
+//! Gaussian row and each count pair one row of the kernel's count-factor
+//! table); this module backpropagates those two scalars through the
+//! conditioning map onto the model parameters the estimator actually
+//! optimises: the mean vector and the packed lower triangle of the
+//! covariance.
 //!
 //! With `T` the target coordinate, `G` the observed set,
 //! `alpha = Sigma_GG^{-1} Sigma_GT` ([`Conditioner::weights`]) and
-//! `w_i = Sigma_GG^{-1} (x_i - mu_G)` (the per-member solve from
-//! [`Conditioner::condition_full`]):
+//! `w_i = Sigma_GG^{-1} (x_i - mu_G)` (the per-member solve of
+//! [`Conditioner::condition_full`], which this module never computes):
 //!
 //! ```text
 //! m_i = mu_T + Sigma_TG w_i          v = Sigma_TT - Sigma_TG alpha
+//!     = mu_T + alpha . (x_i - mu_G)
 //!
 //! ∂ m_i / ∂ mu_T        = 1          ∂ v / ∂ Sigma_TT       = 1
 //! ∂ m_i / ∂ mu_G        = -alpha     ∂ v / ∂ Sigma_Tg       = -2 alpha_g
@@ -33,7 +35,12 @@
 //! parameter appearing at both mirror positions). Everything except the
 //! `Sigma_Tg` term is linear in the per-member quantities, so a group costs one
 //! accumulation of `Σ_i ∂L/∂m_i` and `Σ_i (∂L/∂m_i) w_i` plus an `O(g^2)`
-//! rank-two packed update — per **group**, not per worker.
+//! rank-two packed update — per **group**, not per worker. The solve is
+//! linear too, so `Σ_i (∂L/∂m_i) w_i = Sigma_GG^{-1} Σ_i (∂L/∂m_i)(x_i - mu_G)`:
+//! the conditional means come from `alpha` alone, and the group runs one
+//! observed-block solve ([`Conditioner::solve`]) instead of one per profile.
+//! This rounds differently from the per-profile solves, so the gradient is
+//! held to the per-member result by tolerance, not bit for bit.
 //!
 //! An observation whose normaliser underflows (`log Z = -inf`) contributes zero
 //! gradient: the finite-difference stencil would see `∞ - ∞ = NaN` there, which
@@ -78,13 +85,14 @@ impl CpeLikelihoodKernel<'_> {
     /// closed-form gradient with respect to the model parameters, accumulated
     /// per mask group.
     ///
-    /// Cost per model evaluation: one conditioning factorisation and one
-    /// vectorised quadrature sweep per unique mask — `O(1)` likelihood sweeps
-    /// per gradient, against the `2 x (D+1)(D+4)/2` full sweeps of the
-    /// central-difference oracle. Within a mask, one observed-block solve per
-    /// distinct profile and one sweep cell per distinct cell; the per-member
-    /// accumulation then runs in the original member order, so the result is
-    /// bit-identical to one solve and one cell per member.
+    /// Cost per model evaluation: one conditioning factorisation, one
+    /// factored quadrature sweep and one observed-block solve per unique
+    /// mask — `O(1)` likelihood sweeps per gradient, against the
+    /// `2 x (D+1)(D+4)/2` full sweeps of the central-difference oracle.
+    /// Within a mask, one conditional mean and one Gaussian row per distinct
+    /// profile and three node-length dot products per distinct cell; the
+    /// per-member accumulation then runs in the original member order, so
+    /// the result does not depend on how members share profiles and cells.
     pub fn log_likelihood_gradient(
         &self,
         model: &MultivariateNormal,
@@ -92,66 +100,77 @@ impl CpeLikelihoodKernel<'_> {
         let dim = self.target + 1;
         let mut d_mean = vec![0.0; dim];
         let mut d_cov = PackedLowerTriangle::zeros(dim);
-        // Per-observation log Z in original observation order, so the reported
-        // likelihood sums exactly like CpeLikelihoodKernel::log_likelihood.
-        let mut per_obs_log_z = vec![0.0; self.observations.len()];
         let mut scratch = self.scratch.borrow_mut();
         let s = &mut *scratch;
+        // Per-observation log Z in original observation order, so the reported
+        // likelihood sums in the same order as
+        // CpeLikelihoodKernel::log_likelihood.
+        s.per_obs_log_z.clear();
+        s.per_obs_log_z.resize(self.observations.len(), 0.0);
 
         for group in self.groups.groups() {
             let conditioner: Conditioner = model.conditioner(self.target, group.observed_idx())?;
             let sigma = conditioner.variance().sqrt();
             let idx = group.observed_idx();
             let alpha = conditioner.weights();
+            let mu_g = conditioner.given_means();
 
-            // Conditional means and observed-block solves, one per distinct
-            // profile, staged into the kernel's reused buffers.
+            // Conditional means, one per distinct profile:
+            // m = mu_T + alpha . (x - mu_G), with no per-profile solve.
             s.profile_mu.clear();
-            s.solves.clear();
-            for values in group.profile_values() {
-                let (cond, w) = conditioner.condition_full(values)?;
-                s.profile_mu.push(cond.mean);
-                s.solves.push(w);
-            }
-            s.obs.clear();
-            s.obs.extend(
-                group
-                    .cell_profile
-                    .iter()
-                    .zip(&group.cell_correct)
-                    .zip(&group.cell_wrong)
-                    .map(|((&p, &c), &x)| (s.profile_mu[p], c, x)),
-            );
+            s.profile_mu.extend(group.profile_values().map(|values| {
+                let mut shift = 0.0;
+                for ((&a, &x), &m) in alpha.iter().zip(values).zip(mu_g) {
+                    shift += a * (x - m);
+                }
+                conditioner.target_mean() + shift
+            }));
 
-            // One vectorised sweep: log Z, ∂/∂m, ∂/∂v for every distinct cell
-            // of the group, over the kernel's shared SoA node tables (built
-            // once per kernel, not once per group per evaluation) and into the
-            // reused gradient buffer — the sweep itself allocates nothing.
+            // One factored sweep: log Z, ∂/∂m, ∂/∂v for every distinct cell
+            // of the group (in sweep order, profile by profile), from the
+            // kernel's count-factor table and one Gaussian row per profile,
+            // into the reused gradient buffer.
             s.grads.clear();
-            s.grads.resize(s.obs.len(), LogZGradient::default());
-            self.batch
-                .log_z_gradients_into(sigma, &s.obs, &mut s.grads, &mut s.quad);
+            s.grads.resize(group.num_cells(), LogZGradient::default());
+            self.batch.log_z_gradients_factored_into(
+                sigma,
+                &self.count_factors,
+                &s.profile_mu,
+                &group.sweep_cells,
+                &mut s.grads,
+                &mut s.quad,
+            );
 
             // Group-level sufficient statistics of the backpropagation,
             // accumulated per member in the original member order.
             let mut sum_d_mean = 0.0;
             let mut sum_d_var = 0.0;
-            s.dm_w.clear();
-            s.dm_w.resize(idx.len(), 0.0);
+            s.profile_dm.clear();
+            s.profile_dm.resize(group.num_profiles(), 0.0);
             let members = group.members().iter().zip(group.cell_of());
             for ((&position, &cell), &profile) in members.zip(group.profile_of()) {
-                let grad = &s.grads[cell];
-                per_obs_log_z[position] = grad.log_z;
+                let grad = &s.grads[group.sweep_slot[cell]];
+                s.per_obs_log_z[position] = grad.log_z;
                 if !grad.is_finite() {
                     // Underflowed normaliser: zero contribution, never NaN.
                     continue;
                 }
                 sum_d_mean += grad.d_mean;
                 sum_d_var += grad.d_variance;
-                for (acc, &wi) in s.dm_w.iter_mut().zip(s.solves[profile].as_slice()) {
-                    *acc += grad.d_mean * wi;
+                s.profile_dm[profile] += grad.d_mean;
+            }
+
+            // Σ_i (∂L/∂m_i) w_i = Σ_GG^{-1} Σ_p (Σ_{i in p} ∂L/∂m_i)(x_p - mu_G):
+            // one solve per mask.
+            s.dm_x.clear();
+            s.dm_x.resize(idx.len(), 0.0);
+            for (&dm, values) in s.profile_dm.iter().zip(group.profile_values()) {
+                for ((acc, &x), &m) in s.dm_x.iter_mut().zip(values).zip(mu_g) {
+                    *acc += dm * (x - m);
                 }
             }
+            let dm_w = conditioner.solve(&s.dm_x)?;
+            let dm_w = dm_w.as_slice();
 
             // Mean backpropagation: ∂m/∂mu_T = 1, ∂m/∂mu_G = -alpha.
             d_mean[self.target] += sum_d_mean;
@@ -166,12 +185,12 @@ impl CpeLikelihoodKernel<'_> {
             for (g, &gp) in idx.iter().enumerate() {
                 // ∂m/∂Sigma_Tg = w_g (per member) and ∂v/∂Sigma_Tg = -2 alpha_g.
                 d_cov
-                    .add(self.target, gp, s.dm_w[g] - 2.0 * sum_d_var * alpha[g])
+                    .add(self.target, gp, dm_w[g] - 2.0 * sum_d_var * alpha[g])
                     .map_err(cpe_linalg_error)?;
             }
             // ∂m/∂Sigma_GG = -sym(alpha w^T), summed over members.
             d_cov
-                .add_sym_outer(-1.0, idx, alpha, &s.dm_w)
+                .add_sym_outer(-1.0, idx, alpha, dm_w)
                 .map_err(cpe_linalg_error)?;
             // ∂v/∂Sigma_GG = +alpha alpha^T.
             d_cov
@@ -180,7 +199,7 @@ impl CpeLikelihoodKernel<'_> {
         }
 
         let mut log_likelihood = 0.0;
-        for term in &per_obs_log_z {
+        for term in &s.per_obs_log_z {
             log_likelihood += term;
         }
         Ok(LikelihoodGradient {
@@ -231,8 +250,10 @@ fn cpe_linalg_error(e: c4u_linalg::LinalgError) -> SelectionError {
 ///
 /// The fused `log Z` agrees with the dedicated log-Z-only sweep
 /// ([`CpeLikelihoodKernel::log_likelihood`]) to float rounding, `~1e-12`
-/// (`c4u-stats` pins that in `batch_log_z_matches_single_evaluations`) — but
-/// it is **not bit-identical**, and a descent driver that selects its returned
+/// (`c4u-stats` pins the per-cell agreement in
+/// `factored_gradients_track_the_per_cell_sweep`), except where the log-Z-only
+/// sweep underflows to `-inf` and the factored sweep stays finite — but it is
+/// **not bit-identical**, and a descent loop that selects its returned
 /// best iterate by objective value could in principle flip between iterates
 /// whose objectives differ by less than that drift. This is an accepted
 /// trade: [`CrossDomainEstimator::update`](crate::CrossDomainEstimator::update)
@@ -437,6 +458,45 @@ mod tests {
         moved[0] += 1e-3;
         let _ = oracle.objective(&moved);
         assert!(conditioning_factorizations() > before);
+    }
+
+    /// The collapsed-variance trap seen on pool_large seed 12: after one
+    /// epoch the conditional sd fell to about 3.65e-4 with every conditional
+    /// mean near 0.498, far below the spacing of the quadrature nodes around
+    /// 0.5. The per-cell gradient sweep shifted each cell by its
+    /// bracketing-grid peak, so every node term underflowed: it returned
+    /// `log L = -inf` and an all-zero gradient, and the model stayed stuck
+    /// for the remaining epochs. The factored sweep shifts the count and
+    /// Gaussian factors by their own node maxima and stays finite.
+    #[test]
+    fn collapsed_conditional_variance_keeps_a_finite_gradient() {
+        let (var_g, var_t, sd): (f64, f64, f64) = (0.02, 0.01, 3.65e-4);
+        let cov_tg = (var_g * (var_t - sd * sd)).sqrt();
+        let model = MultivariateNormal::new(
+            Vector::from_slice(&[0.5, 0.498]),
+            c4u_linalg::Matrix::from_rows(&[vec![var_g, cov_tg], vec![cov_tg, var_t]]).unwrap(),
+        )
+        .unwrap();
+        let conditioner = model.conditioner(1, &[0]).unwrap();
+        assert!((conditioner.variance().sqrt() - sd).abs() < 1e-6);
+        let observations: Vec<CpeObservation> = [0.499, 0.5, 0.5005]
+            .iter()
+            .map(|&x| CpeObservation {
+                prior_accuracies: vec![Some(x)],
+                correct: 12,
+                wrong: 8,
+            })
+            .collect();
+        let quadrature = GaussLegendre::new(CpeConfig::default().quadrature_order);
+        let kernel = CpeLikelihoodKernel::new(&observations, 1, &quadrature);
+        // The per-cell log-Z path still underflows at this model.
+        assert_eq!(kernel.log_likelihood(&model).unwrap(), f64::NEG_INFINITY);
+
+        let fused = kernel.log_likelihood_gradient(&model).unwrap();
+        assert!(fused.log_likelihood.is_finite(), "{fused:?}");
+        assert!(fused.packed().iter().all(|g| g.is_finite()), "{fused:?}");
+        let d_var_t = fused.d_covariance.as_slice()[2];
+        assert!(d_var_t != 0.0, "{fused:?}");
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! like a real one: about 2 000 workers whose profiles are multiples of `1/20`
 //! and whose answer counts are integers in `0..=20`, over three masks. Most
 //! workers share their `(profile, correct, wrong)` cell with others, so these
-//! tests exercise the kernel's per-distinct-cell evaluation; they also pin the
-//! analytic (default) update on that pool to the bits the per-member loop
-//! produced.
+//! tests exercise the kernel's per-distinct-cell evaluation. The analytic
+//! (default) update on that pool is held to the bits the per-member loop
+//! produced, within a relative tolerance of `1e-12`: the factored gradient
+//! sweep and the one-solve-per-mask backpropagation round differently from
+//! the per-cell sweep and per-profile solves they replaced.
 //!
 //! A final test pins the *factorisation count*: one observed-block Cholesky per
 //! unique non-empty mask per objective evaluation, i.e.
@@ -267,7 +269,8 @@ fn lattice_predict_batch_matches_reference_bit_for_bit() {
 
 /// Exact `f64` bits of the mean after a default-config (analytic-gradient)
 /// `update()` on the lattice fixture, captured from the kernel when it still
-/// ran one conditioning solve and one sweep cell per member.
+/// ran one conditioning solve and one per-cell sweep cell per member. They
+/// are the oracle the current kernel tracks to [`LATTICE_ANALYTIC_TOLERANCE`].
 const LATTICE_ANALYTIC_MEAN_BITS: [u64; 4] = [
     4603803565812441607,
     4605079890212445602,
@@ -295,10 +298,26 @@ const LATTICE_ANALYTIC_COV_BITS: [u64; 16] = [
     4589935837242488314,
 ];
 
+/// Largest relative deviation of any mean or covariance entry from the
+/// recorded per-member bits.
+const LATTICE_ANALYTIC_TOLERANCE: f64 = 1e-12;
+
+fn assert_tracks(got: &[f64], recorded_bits: &[u64], what: &str) {
+    assert_eq!(got.len(), recorded_bits.len());
+    for (i, (&got, &bits)) in got.iter().zip(recorded_bits).enumerate() {
+        let want = f64::from_bits(bits);
+        let relative = (got - want).abs() / want.abs();
+        assert!(
+            relative <= LATTICE_ANALYTIC_TOLERANCE,
+            "{what}[{i}]: {got:e} vs recorded {want:e} (relative {relative:e})"
+        );
+    }
+}
+
 #[test]
-fn lattice_analytic_update_is_unchanged_from_the_per_member_loop() {
+fn lattice_analytic_update_tracks_the_per_member_loop() {
     // The reference only transcribes the finite-difference update, so the
-    // default analytic path is pinned to recorded bits instead.
+    // default analytic path is held to recorded bits instead.
     // Rates scaled down for 2 000 workers, so the model stays interior.
     let mut est = estimator(CpeConfig {
         epochs: 5,
@@ -307,13 +326,10 @@ fn lattice_analytic_update_is_unchanged_from_the_per_member_loop() {
         ..CpeConfig::default()
     });
     est.update(&lattice_observations(LATTICE_WORKERS)).unwrap();
-    let mean: Vec<u64> = est.mean().iter().map(|v| v.to_bits()).collect();
-    let cov: Vec<u64> = est
-        .covariance()
-        .as_slice()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-    assert_eq!(mean, LATTICE_ANALYTIC_MEAN_BITS);
-    assert_eq!(cov, LATTICE_ANALYTIC_COV_BITS);
+    assert_tracks(est.mean(), &LATTICE_ANALYTIC_MEAN_BITS, "mean");
+    assert_tracks(
+        est.covariance().as_slice(),
+        &LATTICE_ANALYTIC_COV_BITS,
+        "covariance",
+    );
 }

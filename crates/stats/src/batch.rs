@@ -61,6 +61,19 @@
 //! cancels out of every returned quantity up to ordinary rounding — well
 //! inside the `FastVector` tolerance contract.
 //!
+//! # The factored gradient sweep
+//!
+//! The Eq. 6–7 gradient sweep of the CPE update has a second, factored form,
+//! [`BinomialNormalBatch::log_z_gradients_factored_into`]. The integrand
+//! splits into a count factor that depends only on `(C, X)` (tabulated once
+//! per kernel as [`CountFactors`]) and a Gaussian factor that depends only on
+//! the conditional mean (one row per profile per sweep), so each cell costs
+//! three node-length dot products instead of a grid scan and a node-length
+//! `exp` fold. It is tolerance-pinned to the per-cell
+//! [`BinomialNormalBatch::log_z_gradients_into`], not bit-pinned, in both math
+//! modes; cells whose factored normaliser underflows fall back to the
+//! per-cell arithmetic bit for bit.
+//!
 //! The module also owns the thread-local diagnostic counters that let tests pin
 //! the batching contract: a likelihood evaluation or a `predict_batch` pass
 //! must cost `O(unique_masks)` batched sweeps, not `O(workers)` scalar
@@ -170,6 +183,8 @@ const FOLD_LANES: usize = 4;
 #[derive(Debug, Clone, Default)]
 pub struct QuadratureScratch {
     buf: Vec<f64>,
+    /// The factored gradient sweep's three Gaussian rows, `3 * num_nodes`.
+    rows: Vec<f64>,
 }
 
 impl QuadratureScratch {
@@ -184,6 +199,76 @@ impl QuadratureScratch {
             self.buf.resize(n, 0.0);
         }
         &mut self.buf[..n]
+    }
+
+    /// The node-sized view and the `3 * n` Gaussian-row view, growing both.
+    fn nodes_and_rows(&mut self, n: usize) -> (&mut [f64], &mut [f64]) {
+        if self.rows.len() < 3 * n {
+            self.rows.resize(3 * n, 0.0);
+        }
+        let rows = &mut self.rows[..3 * n];
+        if self.buf.len() < n {
+            self.buf.resize(n, 0.0);
+        }
+        (&mut self.buf[..n], rows)
+    }
+}
+
+/// Smallest factored normaliser `z0` the factored gradient sweep trusts;
+/// below it (or when `z0` is not finite) a cell is recomputed by the per-cell
+/// sweep, so true underflow keeps that sweep's `-inf` and zero gradient.
+const FACTORED_Z_FLOOR: f64 = 1e-280;
+
+/// The count factors of the binomial×normal integrand over one rule's nodes:
+/// for each `(C, X)` pair, `exp(C ln h_j + X ln(1 - h_j) - a_max)` at every
+/// node, with the pair's shift `a_max`. Built by
+/// [`BinomialNormalBatch::count_factors`] and consumed by
+/// [`BinomialNormalBatch::log_z_gradients_factored_into`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CountFactors {
+    num_nodes: usize,
+    /// The `(C, X)` pairs, in table order.
+    counts: Vec<(f64, f64)>,
+    /// Pair-major rows, `num_nodes` each.
+    rows: Vec<f64>,
+    /// Per pair: the node maximum `a_max` its row was shifted by.
+    shifts: Vec<f64>,
+}
+
+impl CountFactors {
+    fn row(&self, pair: usize) -> &[f64] {
+        &self.rows[pair * self.num_nodes..(pair + 1) * self.num_nodes]
+    }
+}
+
+/// The per-call constants of the gradient sweeps: the floored `sigma`, its
+/// variance and the combined normalisation constant `ln sigma + ln(2 pi)/2`.
+struct GradientShape {
+    sigma: f64,
+    variance: f64,
+    norm_const: f64,
+}
+
+impl GradientShape {
+    fn new(sigma: f64) -> Self {
+        let sigma = sigma.max(SIGMA_FLOOR);
+        Self {
+            sigma,
+            variance: sigma * sigma,
+            norm_const: sigma.ln() + 0.5 * (2.0 * std::f64::consts::PI).ln(),
+        }
+    }
+
+    /// `log Z` and its mean/variance derivatives from the three shifted
+    /// moments `z0 = Z`, `z1 = Z E[h - mu]`, `z2 = Z E[(h - mu)^2]`, where the
+    /// moments were shifted by `exp(-shift)`.
+    fn gradient(&self, z0: f64, z1: f64, z2: f64, shift: f64) -> LogZGradient {
+        let variance = self.variance;
+        LogZGradient {
+            log_z: z0.ln() + shift,
+            d_mean: (z1 / z0) / variance,
+            d_variance: (z2 / z0 - variance) / (2.0 * variance * variance),
+        }
     }
 }
 
@@ -520,50 +605,121 @@ impl BinomialNormalBatch {
     ) {
         assert_eq!(observations.len(), out.len());
         record_batched_sweep();
-        let sigma = sigma.max(SIGMA_FLOOR);
-        let variance = sigma * sigma;
-        let norm_const = sigma.ln() + 0.5 * (2.0 * std::f64::consts::PI).ln();
+        let shape = GradientShape::new(sigma);
         let scratch = scratch.nodes(self.num_nodes());
-
         for (&(mu, c, x), grad) in observations.iter().zip(out.iter_mut()) {
-            let log_max = self.log_max_combined(sigma, norm_const, mu, c, x);
-            if !log_max.is_finite() {
-                *grad = LogZGradient {
-                    log_z: f64::NEG_INFINITY,
-                    d_mean: 0.0,
-                    d_variance: 0.0,
-                };
-                continue;
+            *grad = self.cell_gradient(&shape, mu, c, x, scratch);
+        }
+    }
+
+    /// Tabulates the count factors of `counts` over these nodes: for each
+    /// `(C, X)` pair, `exp(C ln h_j + X ln(1 - h_j) - a_max)` at every node
+    /// `h_j`, where `a_max` is the pair's own maximum over the nodes.
+    ///
+    /// The binomial factor of the integrand depends only on the answer
+    /// counts, so a CPE kernel builds this table once, over the few distinct
+    /// count pairs of its observations, and every
+    /// [`log_z_gradients_factored_into`](Self::log_z_gradients_factored_into)
+    /// sweep of the update reuses it. The table is built with libm `exp` in
+    /// both math modes (it is not on the per-epoch path).
+    pub fn count_factors(&self, counts: &[(f64, f64)]) -> CountFactors {
+        let n = self.num_nodes();
+        let mut rows = Vec::with_capacity(counts.len() * n);
+        let mut shifts = Vec::with_capacity(counts.len());
+        for &(c, x) in counts {
+            let start = rows.len();
+            rows.extend(
+                self.node_lh
+                    .iter()
+                    .zip(&self.node_l1h)
+                    .map(|(&lh, &l1h)| c * lh + x * l1h),
+            );
+            let row = &mut rows[start..];
+            let a_max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            for t in row.iter_mut() {
+                *t = (*t - a_max).exp();
             }
-            // The same shape as the moments sweep, with the gradient path's
-            // combined normalisation constant; the fold fuses the three
-            // moments Z, E[h - mu], E[(h - mu)^2].
-            let (z0, z1, z2) = match self.math {
-                QuadratureMath::Exact => {
-                    self.fill_shifted_log_integrand_combined(
-                        sigma, norm_const, mu, c, x, log_max, scratch,
-                    );
-                    self.fold_gradient_exact(scratch, mu)
-                }
-                QuadratureMath::FastVector => {
-                    self.sweep_gradient_fast(1.0 / sigma, norm_const + log_max, mu, c, x)
-                }
-            };
-            *grad = if z0 <= 0.0 || !z0.is_finite() {
-                LogZGradient {
-                    log_z: f64::NEG_INFINITY,
-                    d_mean: 0.0,
-                    d_variance: 0.0,
-                }
+            shifts.push(a_max);
+        }
+        CountFactors {
+            num_nodes: n,
+            counts: counts.to_vec(),
+            rows,
+            shifts,
+        }
+    }
+
+    /// The Eq. 6–7 gradient sweep of
+    /// [`log_z_gradients_into`](Self::log_z_gradients_into), factored: the
+    /// integrand `h^C (1-h)^X N(h; m, sigma^2)` splits into a count factor
+    /// (from `factors`, one row per `(C, X)` pair) and a Gaussian factor that
+    /// depends only on the cell's conditional mean.
+    ///
+    /// Cell `i` is `cells[i] = (profile, pair)`: its conditional mean is
+    /// `profile_mu[profile]` and its counts are `factors`' pair `pair`. Each
+    /// profile gets one Gaussian row `wf_j exp(-(h_j - m)^2 / (2 sigma^2) -
+    /// q_max)` (libm `exp` in [`QuadratureMath::Exact`], [`vexp`] in
+    /// [`QuadratureMath::FastVector`]), shifted by its own node maximum
+    /// `q_max`, plus its `(h_j - m)` and `(h_j - m)^2` copies; the row is
+    /// rebuilt only when the profile changes from one cell to the next, so
+    /// cells should come grouped by profile. Each cell then costs three
+    /// node-length dot products, and `log Z = ln z0 + a_max + q_max -
+    /// norm_const`.
+    ///
+    /// Because each factor is shifted by its own node maximum, a narrow
+    /// conditional (a `sigma` far below the node spacing) keeps a finite
+    /// `log Z` and gradient where the per-cell sweep's bracketing-grid shift
+    /// underflows every node term. A cell whose factored `z0` is non-finite
+    /// or below `1e-280` is recomputed by the per-cell arithmetic of
+    /// [`log_z_gradients_into`](Self::log_z_gradients_into), so true underflow
+    /// keeps that path's result bit for bit (`-inf`, zero gradient).
+    /// Elsewhere the two sweeps agree to rounding, not bit for bit.
+    ///
+    /// One counter tick for the whole call; fallback cells do not tick again.
+    /// `out` must have the same length as `cells`. Zero heap allocations once
+    /// `scratch` has grown to the rule size.
+    ///
+    /// # Panics
+    ///
+    /// If `factors` was built over a rule of another size, if the output
+    /// length differs from `cells`, or if a cell indexes outside
+    /// `profile_mu` or `factors`.
+    // c4u-lint: hot-path
+    pub fn log_z_gradients_factored_into(
+        &self,
+        sigma: f64,
+        factors: &CountFactors,
+        profile_mu: &[f64],
+        cells: &[(usize, usize)],
+        out: &mut [LogZGradient],
+        scratch: &mut QuadratureScratch,
+    ) {
+        let n = self.num_nodes();
+        assert_eq!(factors.num_nodes, n);
+        assert_eq!(cells.len(), out.len());
+        record_batched_sweep();
+        let shape = GradientShape::new(sigma);
+        let (node_buf, rows) = scratch.nodes_and_rows(n);
+        let (g0, rest) = rows.split_at_mut(n);
+        let (g1, g2) = rest.split_at_mut(n);
+        let mut row_profile = None;
+        let mut q_max = 0.0;
+        for (&(profile, pair), grad) in cells.iter().zip(out.iter_mut()) {
+            let mu = profile_mu[profile];
+            if row_profile != Some(profile) {
+                q_max = self.gaussian_rows(shape.sigma, mu, g0, g1, g2);
+                row_profile = Some(profile);
+            }
+            let (z0, z1, z2) = dot3(factors.row(pair), g0, g1, g2);
+            *grad = if z0.is_finite() && z0 >= FACTORED_Z_FLOOR {
+                shape.gradient(z0, z1, z2, factors.shifts[pair] + q_max - shape.norm_const)
             } else {
-                LogZGradient {
-                    log_z: z0.ln() + log_max,
-                    d_mean: (z1 / z0) / variance,
-                    d_variance: (z2 / z0 - variance) / (2.0 * variance * variance),
-                }
+                let (c, x) = factors.counts[pair];
+                self.cell_gradient(&shape, mu, c, x, node_buf)
             };
         }
     }
+    // c4u-lint: end-hot-path
 
     /// The peak-bracketing grid's log-integrand maximum for one cell — the
     /// stable-exponentiation shift every evaluation path (scalar and batched)
@@ -751,6 +907,94 @@ impl BinomialNormalBatch {
             let z = (hc - mu) / sigma;
             *t = c * lh + x * l1h - 0.5 * z * z - norm_const - log_max;
         }
+    }
+
+    /// One cell of the per-cell gradient sweep: `log Z`, `∂/∂mu` and `∂/∂v`
+    /// of `h^c (1-h)^x N(h; mu, sigma^2)`, shifted by the bracketing-grid
+    /// peak, with `-inf` and a zero gradient when the normaliser underflows.
+    fn cell_gradient(
+        &self,
+        shape: &GradientShape,
+        mu: f64,
+        c: f64,
+        x: f64,
+        scratch: &mut [f64],
+    ) -> LogZGradient {
+        let GradientShape {
+            sigma, norm_const, ..
+        } = *shape;
+        let underflow = LogZGradient {
+            log_z: f64::NEG_INFINITY,
+            d_mean: 0.0,
+            d_variance: 0.0,
+        };
+        let log_max = self.log_max_combined(sigma, norm_const, mu, c, x);
+        if !log_max.is_finite() {
+            return underflow;
+        }
+        // The same shape as the moments sweep, with the gradient path's
+        // combined normalisation constant; the fold fuses the three moments
+        // Z, E[h - mu], E[(h - mu)^2].
+        let (z0, z1, z2) = match self.math {
+            QuadratureMath::Exact => {
+                self.fill_shifted_log_integrand_combined(
+                    sigma, norm_const, mu, c, x, log_max, scratch,
+                );
+                self.fold_gradient_exact(scratch, mu)
+            }
+            QuadratureMath::FastVector => {
+                self.sweep_gradient_fast(1.0 / sigma, norm_const + log_max, mu, c, x)
+            }
+        };
+        if z0 <= 0.0 || !z0.is_finite() {
+            underflow
+        } else {
+            shape.gradient(z0, z1, z2, log_max)
+        }
+    }
+
+    /// The factored sweep's Gaussian rows for one conditional mean `mu`:
+    /// `g0_j = wf_j exp(-u_j^2 / 2 - q_max)` with `u_j = (h_j - mu) / sigma`
+    /// and `q_max` the largest `-u_j^2 / 2` over the nodes, `g1_j = g0_j (h_j -
+    /// mu)` and `g2_j = g1_j (h_j - mu)`. Returns `q_max`.
+    fn gaussian_rows(
+        &self,
+        sigma: f64,
+        mu: f64,
+        g0: &mut [f64],
+        g1: &mut [f64],
+        g2: &mut [f64],
+    ) -> f64 {
+        let inv_sigma = 1.0 / sigma;
+        for (q, &hc) in g0.iter_mut().zip(&self.node_hc) {
+            let u = (hc - mu) * inv_sigma;
+            *q = -0.5 * u * u;
+        }
+        let q_max = g0.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        for q in g0.iter_mut() {
+            *q -= q_max;
+        }
+        match self.math {
+            QuadratureMath::Exact => {
+                for q in g0.iter_mut() {
+                    // c4u-lint: allow(scalar-libm-in-hot-path, reason = "Exact-mode fold: QuadratureMath::Exact keeps libm exp; one row per profile, not per cell")
+                    *q = q.exp();
+                }
+            }
+            QuadratureMath::FastVector => vexp(g0),
+        }
+        for (((e, &wf), &hc), (d1, d2)) in g0
+            .iter_mut()
+            .zip(&self.node_wf)
+            .zip(&self.node_hc)
+            .zip(g1.iter_mut().zip(g2.iter_mut()))
+        {
+            let d = hc - mu;
+            *e *= wf;
+            *d1 = *e * d;
+            *d2 = *d1 * d;
+        }
+        q_max
     }
 
     /// Exact-mode normaliser fold: libm `exp`, node-order serial sum — the
@@ -973,6 +1217,38 @@ impl BinomialNormalBatch {
     // c4u-lint: end-hot-path
 }
 
+/// The three dot products `(f·g0, f·g1, f·g2)` of the factored gradient
+/// sweep, in [`VEXP_LANES`]-wide partial sums.
+// c4u-lint: hot-path
+#[inline]
+fn dot3(f: &[f64], g0: &[f64], g1: &[f64], g2: &[f64]) -> (f64, f64, f64) {
+    let mut a0 = [0.0f64; VEXP_LANES];
+    let mut a1 = [0.0f64; VEXP_LANES];
+    let mut a2 = [0.0f64; VEXP_LANES];
+    let (f_chunks, f_tail) = f.as_chunks::<VEXP_LANES>();
+    let (g0_chunks, g0_tail) = g0.as_chunks::<VEXP_LANES>();
+    let (g1_chunks, g1_tail) = g1.as_chunks::<VEXP_LANES>();
+    let (g2_chunks, g2_tail) = g2.as_chunks::<VEXP_LANES>();
+    for (((f, g0), g1), g2) in f_chunks.iter().zip(g0_chunks).zip(g1_chunks).zip(g2_chunks) {
+        for j in 0..VEXP_LANES {
+            a0[j] += f[j] * g0[j];
+            a1[j] += f[j] * g1[j];
+            a2[j] += f[j] * g2[j];
+        }
+    }
+    for (((&f, &g0), &g1), &g2) in f_tail.iter().zip(g0_tail).zip(g1_tail).zip(g2_tail) {
+        a0[0] += f * g0;
+        a1[0] += f * g1;
+        a2[0] += f * g2;
+    }
+    (
+        BinomialNormalBatch::hsum_lanes(a0),
+        BinomialNormalBatch::hsum_lanes(a1),
+        BinomialNormalBatch::hsum_lanes(a2),
+    )
+}
+// c4u-lint: end-hot-path
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1151,6 +1427,150 @@ mod tests {
         assert_eq!(batched_quadrature_sweeps(), 3);
         reset_batched_quadrature_sweeps();
         reset_scalar_quadrature_evaluations();
+    }
+
+    /// Factored results, per-cell results and the `(mu, c, x)` cells.
+    type Sweeps = (Vec<LogZGradient>, Vec<LogZGradient>, Vec<(f64, f64, f64)>);
+
+    /// The factored sweep over every `(mu, counts)` combination, profile by
+    /// profile, next to the per-cell sweep of the same cells.
+    fn factored_and_per_cell(
+        batch: &BinomialNormalBatch,
+        sigma: f64,
+        mus: &[f64],
+        counts: &[(f64, f64)],
+    ) -> Sweeps {
+        let factors = batch.count_factors(counts);
+        let keys: Vec<(usize, usize)> = (0..mus.len())
+            .flat_map(|p| (0..counts.len()).map(move |q| (p, q)))
+            .collect();
+        let cells: Vec<(f64, f64, f64)> = keys
+            .iter()
+            .map(|&(p, q)| (mus[p], counts[q].0, counts[q].1))
+            .collect();
+        let mut factored = vec![LogZGradient::default(); keys.len()];
+        batch.log_z_gradients_factored_into(
+            sigma,
+            &factors,
+            mus,
+            &keys,
+            &mut factored,
+            &mut QuadratureScratch::new(),
+        );
+        (factored, batch.log_z_gradients(sigma, &cells), cells)
+    }
+
+    /// The factored sweep's accuracy contract against the per-cell sweep:
+    /// `log Z` within `1e-13 (1 + |log Z|)`, `∂m·sigma` within `1e-11` and
+    /// `∂v·2sigma²` within `1e-10`, wherever the per-cell sweep is finite.
+    fn assert_tracks(sigma: f64, got: &LogZGradient, want: &LogZGradient, what: &str) {
+        assert!(
+            got.log_z.is_finite(),
+            "{what}: factored {got:?} vs {want:?}"
+        );
+        let log_z = (got.log_z - want.log_z).abs();
+        let d_mean = ((got.d_mean - want.d_mean) * sigma).abs();
+        let d_variance = ((got.d_variance - want.d_variance) * 2.0 * sigma * sigma).abs();
+        assert!(
+            log_z <= 1e-13 * (1.0 + want.log_z.abs()) && d_mean <= 1e-11 && d_variance <= 1e-10,
+            "{what}: factored {got:?} vs per-cell {want:?} \
+             (log Z {log_z:e}, dm·sigma {d_mean:e}, dv·2sigma² {d_variance:e})"
+        );
+    }
+
+    #[test]
+    fn factored_gradients_track_the_per_cell_sweep() {
+        let mus = [
+            -0.5, -0.1, 0.0, 0.02, 0.3, 0.498, 0.5, 0.77, 0.99, 1.0, 1.2, 1.5,
+        ];
+        let counts = [
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (0.0, 1.0),
+            (3.0, 7.0),
+            (12.0, 8.0),
+            (150.0, 150.0),
+            (290.0, 10.0),
+            (300.0, 0.0),
+            (0.0, 300.0),
+        ];
+        for math in [QuadratureMath::Exact, QuadratureMath::FastVector] {
+            let batch = BinomialNormalBatch::new_with_math(&GaussLegendre::new(32), math);
+            for sigma in [1e-3, 3e-3, 0.01, 0.05, 0.15, 0.5, 2.0, 10.0] {
+                let (factored, per_cell, cells) =
+                    factored_and_per_cell(&batch, sigma, &mus, &counts);
+                for ((got, want), cell) in factored.iter().zip(&per_cell).zip(&cells) {
+                    let what = format!("{math:?} sigma {sigma} cell {cell:?}");
+                    if want.log_z.is_finite() {
+                        assert_tracks(sigma, got, want, &what);
+                    } else {
+                        // Only a fallback cell may keep the per-cell -inf.
+                        assert_eq!(got, want, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn factored_fallback_cells_return_the_per_cell_bits() {
+        // Count and Gaussian factors peaking at opposite ends of [0, 1]: every
+        // node product underflows, so the cells take the per-cell arithmetic.
+        for math in [QuadratureMath::Exact, QuadratureMath::FastVector] {
+            let batch = BinomialNormalBatch::new_with_math(&GaussLegendre::new(32), math);
+            for (sigma, mu, c, x) in [
+                (1e-3, 1.5, 0.0, 300.0),
+                (1e-3, -0.5, 300.0, 0.0),
+                (1e-4, 1.5, 0.0, 300.0),
+                (1e-4, -0.5, 300.0, 0.0),
+            ] {
+                let (factored, per_cell, _) =
+                    factored_and_per_cell(&batch, sigma, &[mu], &[(c, x)]);
+                assert_eq!(factored, per_cell, "{math:?} sigma {sigma} mu {mu}");
+            }
+            // A far-out mean with a sub-node-spacing sigma: the per-cell sweep
+            // returns -inf and a zero gradient, and so does the fallback.
+            let (factored, per_cell, _) =
+                factored_and_per_cell(&batch, 1e-4, &[1.5], &[(0.0, 300.0)]);
+            assert_eq!(per_cell[0].log_z, f64::NEG_INFINITY, "{math:?}");
+            assert_eq!((per_cell[0].d_mean, per_cell[0].d_variance), (0.0, 0.0));
+            assert_eq!(factored, per_cell, "{math:?}");
+        }
+    }
+
+    #[test]
+    fn factored_sweep_stays_finite_under_a_collapsed_variance() {
+        // sigma far below the node spacing around 0.5: the per-cell sweep's
+        // bracketing-grid shift underflows every node term, while the factored
+        // sweep shifts each factor by its own node maximum.
+        let batch = BinomialNormalBatch::new(&GaussLegendre::new(32));
+        let (factored, per_cell, _) =
+            factored_and_per_cell(&batch, 3.65e-4, &[0.496, 0.498, 0.503], &[(12.0, 8.0)]);
+        for (got, want) in factored.iter().zip(&per_cell) {
+            assert_eq!(want.log_z, f64::NEG_INFINITY);
+            assert!(got.log_z.is_finite() && got.d_mean.is_finite(), "{got:?}");
+            // The nearest nodes sit tens of sigmas away: widening helps.
+            assert!(got.d_variance > 0.0, "{got:?}");
+        }
+    }
+
+    #[test]
+    fn factored_sweep_ticks_the_counter_once_per_call() {
+        let batch = BinomialNormalBatch::new(&GaussLegendre::new(16));
+        let factors = batch.count_factors(&[(3.0, 2.0), (0.0, 300.0)]);
+        let mut out = [LogZGradient::default(); 3];
+        reset_batched_quadrature_sweeps();
+        // The second cell falls back to the per-cell arithmetic.
+        batch.log_z_gradients_factored_into(
+            1e-4,
+            &factors,
+            &[0.5, 1.5],
+            &[(0, 0), (1, 1), (0, 1)],
+            &mut out,
+            &mut QuadratureScratch::new(),
+        );
+        assert_eq!(batched_quadrature_sweeps(), 1);
+        reset_batched_quadrature_sweeps();
     }
 
     #[test]

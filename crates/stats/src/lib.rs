@@ -23,7 +23,8 @@
 //!   [`binomial_normal_log_z`], [`binomial_normal_log_z_gradients`], plus the
 //!   batched structure-of-arrays sweep over shared node tables
 //!   ([`BinomialNormalBatch`]) that the CPE hot paths use, bit-identical to
-//!   the scalar forms;
+//!   the scalar forms, and its factored gradient sweep over per-`(C, X)`
+//!   [`CountFactors`], which tracks them to rounding;
 //! * descriptive statistics: [`mean`], [`std_dev`], [`quantile`],
 //!   [`pearson_correlation`], [`Histogram`], [`Summary`];
 //! * covariance utilities: [`sample_covariance`], [`covariance_to_correlation`],
@@ -63,7 +64,7 @@ mod vmath;
 pub use batch::{
     batched_quadrature_sweeps, reset_batched_quadrature_sweeps,
     reset_scalar_quadrature_evaluations, scalar_quadrature_evaluations, BinomialNormalBatch,
-    QuadratureMath, QuadratureScratch,
+    CountFactors, QuadratureMath, QuadratureScratch,
 };
 pub use binomial_normal::{
     binomial_normal_log_z, binomial_normal_log_z_gradients, binomial_normal_moments, LogZGradient,

@@ -499,6 +499,35 @@ impl Conditioner {
         self.weights.as_slice()
     }
 
+    /// The prior means `mu_G` of the observed coordinates, in `given_idx`
+    /// order (empty for the marginal conditioner).
+    pub fn given_means(&self) -> &[f64] {
+        &self.given_means
+    }
+
+    /// The observed-block solve `Sigma_{G,G}^{-1} rhs` with the cached
+    /// factorisation (empty for the marginal conditioner).
+    ///
+    /// The solve is linear, so `Σ_i c_i w_i` over the per-profile solves
+    /// `w_i` of [`Conditioner::condition_full`] equals
+    /// `solve(Σ_i c_i (x_i - mu_G))`: the analytic CPE gradient calls this
+    /// once per mask instead of solving once per profile.
+    pub fn solve(&self, rhs: &[f64]) -> Result<Vector, StatsError> {
+        if rhs.len() != self.num_given() {
+            return Err(StatsError::DimensionMismatch {
+                what: "solve right-hand side must match the observed coordinates",
+                left: self.num_given(),
+                right: rhs.len(),
+            });
+        }
+        let Some(chol_gg) = &self.chol_gg else {
+            return Ok(Vector::zeros(0));
+        };
+        chol_gg
+            .solve(&Vector::from_slice(rhs))
+            .map_err(|e| StatsError::Numerical(e.to_string()))
+    }
+
     /// Conditional distribution of the target coordinate given the observed
     /// values, in the same order as the `given_idx` the conditioner was built
     /// with. Bit-for-bit identical to [`MultivariateNormal::condition_on`].
@@ -889,6 +918,38 @@ mod tests {
         assert_eq!(cond.mean, mvn.mean()[3]);
         assert_eq!(w.len(), 0);
         assert!(marginal.condition_full(&[0.5]).is_err());
+    }
+
+    #[test]
+    fn solve_matches_the_condition_full_solve() {
+        let mvn = example_mvn();
+        let conditioner = mvn.conditioner(3, &[0, 1, 2]).unwrap();
+        assert_eq!(conditioner.given_means(), &[0.7, 0.88, 0.58]);
+        let values = [0.8, 0.6, 0.45];
+        let (_, w) = conditioner.condition_full(&values).unwrap();
+        let diff: Vec<f64> = values
+            .iter()
+            .zip(conditioner.given_means())
+            .map(|(x, m)| x - m)
+            .collect();
+        // Same factor, same right-hand side: the same bits.
+        assert_eq!(conditioner.solve(&diff).unwrap(), w);
+        // Linearity: one solve of a weighted sum of differences equals the
+        // weighted sum of the per-profile solves.
+        let other = [0.3, 0.9, 0.7];
+        let (_, w_other) = conditioner.condition_full(&other).unwrap();
+        let summed: Vec<f64> = (0..3)
+            .map(|g| 2.0 * diff[g] - 0.5 * (other[g] - conditioner.given_means()[g]))
+            .collect();
+        let solved = conditioner.solve(&summed).unwrap();
+        for g in 0..3 {
+            let want = 2.0 * w[g] - 0.5 * w_other[g];
+            assert!((solved[g] - want).abs() < 1e-12, "{} vs {want}", solved[g]);
+        }
+        assert!(conditioner.solve(&[1.0]).is_err());
+        let marginal = mvn.conditioner(3, &[]).unwrap();
+        assert_eq!(marginal.solve(&[]).unwrap().len(), 0);
+        assert!(marginal.given_means().is_empty());
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! sweeps with a counting global allocator.
 //!
 //! After one warm-up sweep has grown the caller-owned buffers, repeated
-//! `log_z_with_scratch` / `moments_with_scratch` / `log_z_gradients_into`
-//! calls must perform **zero** heap allocations — that is the whole point of
-//! the scratch-taking variants, and the property the CPE hot loops (one sweep
-//! per mask group per epoch) rely on.
+//! `log_z_with_scratch` / `moments_with_scratch` / `log_z_gradients_into` /
+//! `log_z_gradients_factored_into` calls must perform **zero** heap
+//! allocations — that is the whole point of the scratch-taking variants, and
+//! the property the CPE hot loops (one sweep per mask group per epoch) rely
+//! on.
 //!
 //! The counter is **per-thread** (a `const`-initialised thread-local, so the
 //! counting itself never allocates): the libtest harness thread allocates
@@ -72,15 +73,41 @@ fn scratch_sweeps_do_not_allocate() {
         let mut mean = [0.0; 6];
         let mut grads = [LogZGradient::default(); 6];
         let mut scratch = QuadratureScratch::new();
+        // The factored sweep: one profile per mean, every count pair, with
+        // sigmas that also send cells through the per-cell fallback.
+        let counts: Vec<(f64, f64)> = c.iter().zip(&x).map(|(&c, &x)| (c, x)).collect();
+        let factors = batch.count_factors(&counts);
+        let keys: Vec<(usize, usize)> = (0..mu.len())
+            .flat_map(|p| (0..counts.len()).map(move |q| (p, q)))
+            .collect();
+        let mut factored = vec![LogZGradient::default(); keys.len()];
 
-        // Warm up: the first sweep grows the scratch to the rule size.
+        // Warm up: the first sweeps grow the scratch to the rule size.
         batch.log_z_with_scratch(0.12, &mu, &c, &x, &mut log_z, &mut scratch);
+        batch.log_z_gradients_factored_into(
+            0.12,
+            &factors,
+            &mu,
+            &keys,
+            &mut factored,
+            &mut scratch,
+        );
 
         let before = thread_allocations();
         for _ in 0..16 {
             batch.log_z_with_scratch(0.12, &mu, &c, &x, &mut log_z, &mut scratch);
             batch.moments_with_scratch(0.12, &mu, &c, &x, &mut log_z, &mut mean, &mut scratch);
             batch.log_z_gradients_into(0.12, &obs, &mut grads, &mut scratch);
+            for sigma in [0.12, 1e-4] {
+                batch.log_z_gradients_factored_into(
+                    sigma,
+                    &factors,
+                    &mu,
+                    &keys,
+                    &mut factored,
+                    &mut scratch,
+                );
+            }
         }
         let after = thread_allocations();
         assert_eq!(

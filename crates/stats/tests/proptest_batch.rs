@@ -14,10 +14,13 @@
 //! * the zero-count cell (`C = X = 0`, the no-posterior prediction path);
 //! * out-of-range means and sub-floor sigmas (the degenerate-conditional
 //!   clamp).
+//!
+//! The factored gradient sweep is held to the per-cell gradient sweep by
+//! tolerance instead, since it rounds differently.
 
 use c4u_stats::{
     binomial_normal_log_z, binomial_normal_log_z_gradients, binomial_normal_moments,
-    BinomialNormalBatch, GaussLegendre, QuadratureMath,
+    BinomialNormalBatch, GaussLegendre, LogZGradient, QuadratureMath, QuadratureScratch,
 };
 use proptest::prelude::*;
 
@@ -40,8 +43,77 @@ fn edge_cells() -> Vec<(f64, f64, f64)> {
     ]
 }
 
+/// Answer counts of one factored-sweep cell: `C + X <= 300`, with the
+/// one-sided splits (`C = 0` or `X = 0`) drawn often.
+fn count_pair_strategy() -> impl Strategy<Value = (f64, f64)> {
+    (0u32..=300, 0u32..=4, 0.0..1.0f64).prop_map(|(n, side, split)| {
+        let c = match side {
+            0 => 0,
+            1 => n,
+            _ => (n as f64 * split).floor() as u32,
+        };
+        (c as f64, (n - c) as f64)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The factored gradient sweep against the per-cell sweep it replaces on
+    /// the CPE update path: per cell, `log Z` within `1e-13 (1 + |log Z|)`,
+    /// `∂m·sigma` within `1e-11` and `∂v·2sigma²` within `1e-10`, for sigma
+    /// log-uniform in `[1e-3, 10]` and means in `[-0.5, 1.5]`. A cell the
+    /// per-cell sweep leaves at `-inf` must come back with exactly its bits
+    /// (the factored sweep's fallback).
+    #[test]
+    fn factored_gradients_track_the_per_cell_sweep(
+        mus in prop::collection::vec(-0.5..1.5f64, 1..6),
+        counts in prop::collection::vec(count_pair_strategy(), 1..6),
+        log_sigma in -3.0..1.0f64,
+        fast in 0u8..2,
+    ) {
+        let sigma = 10f64.powf(log_sigma);
+        let math = if fast == 1 { QuadratureMath::FastVector } else { QuadratureMath::Exact };
+        let batch = BinomialNormalBatch::new_with_math(&GaussLegendre::new(32), math);
+        let factors = batch.count_factors(&counts);
+        let keys: Vec<(usize, usize)> = (0..mus.len())
+            .flat_map(|p| (0..counts.len()).map(move |q| (p, q)))
+            .collect();
+        let cells: Vec<(f64, f64, f64)> = keys
+            .iter()
+            .map(|&(p, q)| (mus[p], counts[q].0, counts[q].1))
+            .collect();
+        let mut factored = vec![LogZGradient::default(); keys.len()];
+        batch.log_z_gradients_factored_into(
+            sigma,
+            &factors,
+            &mus,
+            &keys,
+            &mut factored,
+            &mut QuadratureScratch::new(),
+        );
+        let per_cell = batch.log_z_gradients(sigma, &cells);
+        for ((got, want), cell) in factored.iter().zip(&per_cell).zip(&cells) {
+            if !want.log_z.is_finite() {
+                prop_assert_eq!(got, want, "{:?} sigma {:e} cell {:?}", math, sigma, cell);
+                continue;
+            }
+            prop_assert!(got.log_z.is_finite(), "cell {:?}: {:?}", cell, got);
+            prop_assert!(
+                (got.log_z - want.log_z).abs() <= 1e-13 * (1.0 + want.log_z.abs()),
+                "{:?} sigma {:e} cell {:?}: log Z {} vs {}", math, sigma, cell, got.log_z, want.log_z
+            );
+            prop_assert!(
+                ((got.d_mean - want.d_mean) * sigma).abs() <= 1e-11,
+                "{:?} sigma {:e} cell {:?}: d_mean {} vs {}", math, sigma, cell, got.d_mean, want.d_mean
+            );
+            prop_assert!(
+                ((got.d_variance - want.d_variance) * 2.0 * sigma * sigma).abs() <= 1e-10,
+                "{:?} sigma {:e} cell {:?}: d_variance {} vs {}",
+                math, sigma, cell, got.d_variance, want.d_variance
+            );
+        }
+    }
 
     #[test]
     fn batched_moments_and_log_z_match_scalar_bitwise(
