@@ -1,22 +1,18 @@
-//! Micro-benchmark of the closed-form Eq. 6–7 gradient oracle against the
-//! finite-difference stencil it replaced as the default.
+//! Micro-benchmark of the CPE Eq. 6–7 update on the closed-form gradient.
 //!
-//! Runs the full `CrossDomainEstimator::update()` through both
-//! `CpeGradient::Analytic` and `CpeGradient::FiniteDifference` on two kinds of
-//! synthetic pool of 64 and 256 workers over four missing-domain masks:
-//! `distinct`, whose profiles vary continuously so that only the all-missing
-//! mask's workers share cells, and `lattice`, whose profiles are multiples of
-//! `1/20` and whose answer counts repeat, so workers share
+//! Runs the full `CrossDomainEstimator::update()` on two kinds of synthetic
+//! pool of 64 and 256 workers over four missing-domain masks: `distinct`,
+//! whose profiles vary continuously so that only the all-missing mask's
+//! workers share cells, and `lattice`, whose profiles are multiples of `1/20`
+//! and whose answer counts repeat, so workers share
 //! `(profile, correct, wrong)` cells as in a real pool and the kernel's
 //! per-distinct-cell evaluation pays.
-//! Alongside wall-clock, it reports the *observed-block factorisation counts*
-//! per `update()` — one per unique mask per likelihood sweep, so the counts
-//! read directly as likelihood sweeps per epoch: `2 x (D+1)(D+4)/2` for the
-//! central-difference stencil against `1` for the analytic oracle (a 28x
-//! sweep reduction at `D = 3`). Next to them it prints the work units of the
-//! analytic oracle's factored sweep per epoch: distinct profiles (one
-//! Gaussian row each), distinct cells (three dot products each) and distinct
-//! `(correct, wrong)` pairs (count-factor rows, built once per `update()`).
+//! Alongside wall-clock, it reports the *observed-block factorisation count*
+//! per `update()` — one per unique non-empty mask per epoch, so the count
+//! reads directly as likelihood sweeps — and the work units of the factored
+//! sweep per epoch: distinct profiles (one Gaussian row each), distinct cells
+//! (three dot products each) and distinct `(correct, wrong)` pairs
+//! (count-factor rows, built once per `update()`).
 //!
 //! ```bash
 //! cargo bench -p c4u-bench --bench cpe_gradient
@@ -27,7 +23,7 @@
 
 use c4u_bench::cpe_epochs;
 use c4u_crowd_sim::HistoricalProfile;
-use c4u_selection::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator, MaskGroups};
+use c4u_selection::{CpeConfig, CpeObservation, CrossDomainEstimator, MaskGroups};
 use c4u_stats::{conditioning_factorizations, reset_conditioning_factorizations};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -93,25 +89,18 @@ fn make_estimator(config: CpeConfig) -> CrossDomainEstimator {
     CrossDomainEstimator::from_profiles(&refs, config).unwrap()
 }
 
-fn bench_config(epochs: usize, oracle: CpeGradient) -> CpeConfig {
+fn bench_config(epochs: usize) -> CpeConfig {
     CpeConfig {
         mean_learning_rate: 1e-4,
         covariance_learning_rate: 1e-4,
         epochs,
-        gradient_oracle: oracle,
         ..Default::default()
     }
 }
 
 fn bench_cpe_gradient(c: &mut Criterion) {
     let epochs = cpe_epochs();
-    let oracles = [
-        ("analytic", CpeGradient::Analytic),
-        (
-            "finite_difference",
-            CpeGradient::FiniteDifference { step: 1e-5 },
-        ),
-    ];
+    let config = bench_config(epochs);
 
     let mut group = c.benchmark_group("cpe_gradient_update");
     group
@@ -120,21 +109,18 @@ fn bench_cpe_gradient(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     for (pool, workers) in POOLS.into_iter().flat_map(|p| [(p, 64usize), (p, 256)]) {
         let observations = pool.observations(workers);
-        for (name, oracle) in oracles {
-            let config = bench_config(epochs, oracle);
-            group.bench_with_input(
-                BenchmarkId::new(format!("{name}/{}", pool.name()), workers),
-                &observations,
-                |b, observations| {
-                    let est = make_estimator(config);
-                    b.iter(|| {
-                        let mut fresh = est.clone();
-                        fresh.update(observations).unwrap();
-                        fresh.mean()[NUM_DOMAINS]
-                    });
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new(pool.name(), workers),
+            &observations,
+            |b, observations| {
+                let est = make_estimator(config);
+                b.iter(|| {
+                    let mut fresh = est.clone();
+                    fresh.update(observations).unwrap();
+                    fresh.mean()[NUM_DOMAINS]
+                });
+            },
+        );
     }
     group.finish();
 
@@ -142,40 +128,23 @@ fn bench_cpe_gradient(c: &mut Criterion) {
     // non-empty mask, so the factorisation counter reads directly as sweeps.
     println!("\nLikelihood sweeps per update() (epochs = {epochs}, via factorisation counts):");
     println!(
-        "  {:>8} {:>8} {:>8} {:>6} {:>6} {:>18} {:>12} {:>8}",
-        "pool", "workers", "profiles", "cells", "pairs", "finite-difference", "analytic", "ratio"
+        "  {:>8} {:>8} {:>8} {:>6} {:>6} {:>14}",
+        "pool", "workers", "profiles", "cells", "pairs", "factorisations"
     );
     for (pool, workers) in POOLS.into_iter().flat_map(|p| [(p, 64usize), (p, 256)]) {
         let observations = pool.observations(workers);
         let groups = MaskGroups::build(&observations, NUM_DOMAINS);
-        let mut counts = [0u64; 2];
-        let mut means = [0.0f64; 2];
-        for (slot, (_, oracle)) in oracles.iter().enumerate() {
-            let mut est = make_estimator(bench_config(epochs, *oracle));
-            reset_conditioning_factorizations();
-            est.update(&observations).unwrap();
-            counts[slot] = conditioning_factorizations();
-            means[slot] = est.mean()[NUM_DOMAINS];
-        }
-        let [analytic, fd] = counts;
-        // The two oracles walk the same surface: their end states agree to
-        // stencil accuracy (pinned tightly by tests/proptest_gradient.rs).
-        assert!(
-            (means[0] - means[1]).abs() < 1e-5,
-            "analytic {} vs finite-difference {} target mean",
-            means[0],
-            means[1]
-        );
+        let mut est = make_estimator(config);
+        reset_conditioning_factorizations();
+        est.update(&observations).unwrap();
         println!(
-            "  {:>8} {:>8} {:>8} {:>6} {:>6} {:>18} {:>12} {:>7.1}x",
+            "  {:>8} {:>8} {:>8} {:>6} {:>6} {:>14}",
             pool.name(),
             workers,
             groups.num_unique_profiles(),
             groups.num_unique_cells(),
             groups.count_pairs().len(),
-            fd,
-            analytic,
-            fd as f64 / analytic.max(1) as f64
+            conditioning_factorizations()
         );
     }
 }

@@ -1,12 +1,10 @@
 //! Numerical differentiation by central differences.
 //!
-//! The CPE log-likelihood (Eq. 5 of the paper) is maximised by gradient descent on
-//! the mean vector and covariance matrix of the cross-domain model (Eq. 6–7). The
-//! authors differentiate through the integral with backpropagation; this crate takes
-//! the equivalent route of high-accuracy central differences, which keeps the
-//! objective code completely decoupled from the optimiser. With the small parameter
-//! counts involved (`D+1` means and `(D+1)(D+2)/2` covariance entries for `D = 3`
-//! prior domains) the extra objective evaluations are negligible.
+//! The CPE estimator differentiates its Eq. 5 log-likelihood in closed form
+//! (Eq. 6–7); these stencils are the independent check its tests hold that
+//! gradient to. With the small parameter counts involved (`D+1` means and
+//! `(D+1)(D+2)/2` covariance entries for `D = 3` prior domains) the extra
+//! objective evaluations are negligible.
 
 /// Relative step used when no explicit step is supplied: `h = EPS_SCALE * max(1, |x|)`.
 const EPS_SCALE: f64 = 1e-5;

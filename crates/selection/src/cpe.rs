@@ -23,18 +23,13 @@
 //! per-observation loop: observations are grouped by observed-domain mask once
 //! at entry ([`kernel::MaskGroups`]), and each model evaluation builds **one**
 //! cached conditioning factorisation per unique mask
-//! ([`c4u_stats::Conditioner`]) instead of one per worker. The gradient step of
-//! Eq. 6–7 goes through the [`c4u_optim::GradientOracle`] seam, selected by
-//! [`CpeConfig::gradient_oracle`]: by default the closed-form
-//! [`kernel::gradient::AnalyticCpeOracle`] (one vectorised quadrature sweep
-//! per unique mask per epoch), with the historical
-//! [`c4u_optim::FiniteDifference`] stencil retained as a cross-check
-//! ([`CpeGradient::FiniteDifference`], pinned bit-for-bit by
-//! `tests/fd_pinned.rs` and `tests/kernel_equivalence.rs`). The
-//! finite-difference numbers are bit-for-bit identical to the historical
-//! per-observation code; the analytic oracle agrees with the stencil to
-//! stencil accuracy (`tests/proptest_gradient.rs`) while cutting likelihood
-//! sweeps per epoch from `2 x (D+1)(D+4)/2` to one.
+//! ([`c4u_stats::Conditioner`]) instead of one per worker. Each Eq. 6–7 epoch
+//! takes its step on the closed-form gradient of
+//! [`CpeLikelihoodKernel::log_likelihood_gradient`] (one vectorised
+//! quadrature sweep per unique mask per epoch). The log-likelihood and
+//! predict paths are bit-for-bit identical to the historical
+//! per-observation code; the gradient agrees with central differences of the
+//! log-likelihood to stencil accuracy (`tests/proptest_gradient.rs`).
 
 pub mod kernel;
 
@@ -42,44 +37,13 @@ use crate::SelectionError;
 use c4u_crowd_sim::parallel::run_indexed_jobs;
 use c4u_crowd_sim::{HistoricalProfile, WorkerShards};
 use c4u_linalg::{Matrix, Vector};
-use c4u_optim::{FiniteDifference, GradientOracle};
 use c4u_stats::{
     mean as stat_mean, nearest_positive_definite, std_dev, GaussLegendre, MultivariateNormal,
     QuadratureMath, Uniform,
 };
-use kernel::gradient::AnalyticCpeOracle;
 use kernel::CpeLikelihoodKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Penalty objective value substituted for evaluations that error out or come
-/// back non-finite (underflowed normaliser, parameters outside the PSD cone).
-/// Shared by both gradient oracles so they describe the same objective surface.
-pub(crate) const OBJECTIVE_PENALTY: f64 = 1e12;
-
-/// How the Eq. 6–7 gradient is produced during [`CrossDomainEstimator::update`].
-///
-/// This is the configuration-level face of the [`c4u_optim::GradientOracle`]
-/// seam: every variant maps to an oracle implementation over the batched
-/// likelihood kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum CpeGradient {
-    /// Closed-form Eq. 6–7 gradients ([`kernel::gradient::AnalyticCpeOracle`]):
-    /// one vectorised quadrature sweep per unique missing-domain mask per
-    /// epoch, backpropagated through the conditioning map. The default — it
-    /// agrees with the central-difference stencil to stencil accuracy
-    /// (`tests/proptest_gradient.rs`) at `O(1)` likelihood sweeps per epoch
-    /// instead of `2 x (D+1)(D+4)/2`.
-    #[default]
-    Analytic,
-    /// Central finite differences over the marginal log-likelihood with a fixed
-    /// absolute stencil step (the historical behaviour; kept as the cross-check
-    /// for the analytic oracle).
-    FiniteDifference {
-        /// Absolute step of the central-difference stencil.
-        step: f64,
-    },
-}
 
 /// Configuration of the CPE estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,8 +68,6 @@ pub struct CpeConfig {
     pub use_posterior_prediction: bool,
     /// Seed for the uniform-random initialisation of the correlation parameters.
     pub correlation_seed: u64,
-    /// Gradient oracle driving the Eq. 6–7 update (see [`CpeGradient`]).
-    pub gradient_oracle: CpeGradient,
     /// Fold-pass arithmetic of the batched quadrature sweeps
     /// ([`c4u_stats::QuadratureMath`]). The default `Exact` mode is
     /// bit-identical to the scalar oracle; `FastVector` swaps the fold onto
@@ -125,7 +87,6 @@ impl Default for CpeConfig {
             min_variance: 1e-4,
             use_posterior_prediction: true,
             correlation_seed: 21,
-            gradient_oracle: CpeGradient::default(),
             quadrature_math: QuadratureMath::default(),
         }
     }
@@ -134,16 +95,14 @@ impl Default for CpeConfig {
 impl CpeConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), SelectionError> {
-        if self.mean_learning_rate.is_nan()
-            || self.mean_learning_rate <= 0.0
-            || self.covariance_learning_rate.is_nan()
-            || self.covariance_learning_rate <= 0.0
-        {
-            return Err(SelectionError::InvalidConfig {
-                what: "learning rates must be > 0",
-                value: self.mean_learning_rate.min(self.covariance_learning_rate),
-            });
-        }
+        positive_finite(
+            "mean learning rate must be finite and > 0",
+            self.mean_learning_rate,
+        )?;
+        positive_finite(
+            "covariance learning rate must be finite and > 0",
+            self.covariance_learning_rate,
+        )?;
         if self.epochs == 0 {
             return Err(SelectionError::InvalidConfig {
                 what: "epochs must be >= 1",
@@ -162,24 +121,16 @@ impl CpeConfig {
                 value: self.quadrature_order as f64,
             });
         }
-        if self.min_variance.is_nan() || self.min_variance <= 0.0 {
-            return Err(SelectionError::InvalidConfig {
-                what: "min_variance must be > 0",
-                value: self.min_variance,
-            });
-        }
-        match self.gradient_oracle {
-            CpeGradient::Analytic => {}
-            CpeGradient::FiniteDifference { step } => {
-                if step.is_nan() || step <= 0.0 {
-                    return Err(SelectionError::InvalidConfig {
-                        what: "finite-difference step must be > 0",
-                        value: step,
-                    });
-                }
-            }
-        }
+        positive_finite("min_variance must be finite and > 0", self.min_variance)
+    }
+}
+
+/// `Ok` when `value` is finite and strictly positive, else `InvalidConfig`.
+fn positive_finite(what: &'static str, value: f64) -> Result<(), SelectionError> {
+    if value.is_finite() && value > 0.0 {
         Ok(())
+    } else {
+        Err(SelectionError::InvalidConfig { what, value })
     }
 }
 
@@ -325,32 +276,27 @@ impl CrossDomainEstimator {
         kernel.log_likelihood(&self.model()?)
     }
 
-    /// Performs one round of the gradient-ascent update of Eq. 6–7: `epochs` steps on
-    /// the negative marginal log-likelihood, with separate learning rates for the
-    /// mean and covariance parameters and a PSD projection after every step.
+    /// Performs one round of the gradient-ascent update of Eq. 6–7: `epochs`
+    /// ascent steps on the marginal log-likelihood, with separate learning
+    /// rates for the mean and covariance parameters and a PSD projection after
+    /// every step.
     ///
     /// The observations are mask-grouped **once** at entry, and within each
     /// mask their distinct profiles and distinct `(profile, correct, wrong)`
     /// cells are numbered; the count factors of the distinct `(correct,
-    /// wrong)` pairs are tabulated once too. With the default
-    /// [`CpeGradient::Analytic`] oracle each epoch then factorises one
-    /// conditioner per unique missing-domain mask, computes one conditional
-    /// mean `mu_T + alpha . (x - mu_G)` and one Gaussian row per distinct
-    /// profile, spends three node-length dot products per distinct cell, and
-    /// runs one observed-block solve per mask for the backpropagation. That
-    /// gradient tracks the per-cell sweep and per-profile solves it replaced
-    /// to rounding (`tests/kernel_equivalence.rs` holds it to the recorded
-    /// per-member result within `1e-12` relative), except where the per-cell
-    /// sweep underflowed to `-inf`: there the factored sweep stays finite.
-    /// The [`CpeGradient::FiniteDifference`] update goes through the log-Z-only
-    /// likelihood and stays the per-worker loop's, bit for bit.
+    /// wrong)` pairs are tabulated once too. Each epoch then calls
+    /// [`CpeLikelihoodKernel::log_likelihood_gradient`] once: it factorises
+    /// one conditioner per unique missing-domain mask, computes one
+    /// conditional mean `mu_T + alpha . (x - mu_G)` and one Gaussian row per
+    /// distinct profile, spends three node-length dot products per distinct
+    /// cell, and runs one observed-block solve per mask for the
+    /// backpropagation. A model that cannot be built or a gradient that
+    /// fails returns the error; no step is taken silently.
     pub fn update(&mut self, observations: &[CpeObservation]) -> Result<(), SelectionError> {
         if observations.is_empty() {
             return Ok(());
         }
-        let d = self.num_prior_domains;
-        let n_mean = d + 1;
-        let n_cov = (d + 1) * (d + 2) / 2;
+        let dim = self.num_prior_domains + 1;
         // Field-level borrow: the epoch loop below mutates `mean`/`covariance`,
         // which are disjoint from the quadrature the kernel holds. One kernel
         // serves every epoch, so its profile/cell tables are built once and
@@ -358,67 +304,37 @@ impl CrossDomainEstimator {
         // `epochs x unique_masks` sweeps.
         let kernel = CpeLikelihoodKernel::new_with_math(
             observations,
-            d,
+            self.num_prior_domains,
             &self.quadrature,
             self.config.quadrature_math,
         );
 
-        let mut params = Vec::with_capacity(n_mean + n_cov);
         for _ in 0..self.config.epochs {
-            // Pack the current parameters.
-            params.clear();
-            params.extend_from_slice(&self.mean);
-            params.extend(lower_triangle(&self.covariance));
-
-            let grad = match self.config.gradient_oracle {
-                CpeGradient::Analytic => {
-                    AnalyticCpeOracle::new(&kernel, d, self.config.min_variance).gradient(&params)
-                }
-                CpeGradient::FiniteDifference { step } => {
-                    let objective = |p: &[f64]| {
-                        // Negative log-likelihood of the unpacked parameters.
-                        // Both `Err` AND non-finite `Ok` values map to the
-                        // penalty: an `Ok(+inf)` (underflowed normaliser) in
-                        // the central-difference stencil would otherwise
-                        // produce `inf - inf = NaN`, and the per-parameter
-                        // clamp propagates NaN straight into the mean and
-                        // covariance.
-                        match self.objective_at(p, &kernel) {
-                            Ok(v) if v.is_finite() => v,
-                            _ => OBJECTIVE_PENALTY,
-                        }
-                    };
-                    FiniteDifference::with_step(objective, step).gradient(&params)
-                }
-            };
-
-            // Apply the two learning rates (Eq. 6 for the mean, Eq. 7 for Sigma).
-            for (i, value) in self.mean.iter_mut().enumerate() {
-                let g = grad[i].clamp(-1e6, 1e6);
-                *value = (*value - self.config.mean_learning_rate * g).clamp(0.01, 0.99);
-            }
+            // The epoch's model: the packed covariance rebuilt and projected
+            // into the PSD cone again. The covariance is already projected, but
+            // a second projection is not a bitwise no-op, and the pinned
+            // update bits (`tests/fd_pinned.rs`) include it.
             let mut tri = lower_triangle(&self.covariance);
-            for (j, value) in tri.iter_mut().enumerate() {
-                let g = grad[n_mean + j].clamp(-1e6, 1e6);
-                *value -= self.config.covariance_learning_rate * g;
+            let covariance = nearest_positive_definite(
+                &from_lower_triangle(&tri, dim),
+                self.config.min_variance,
+            )?;
+            let model = MultivariateNormal::new(Vector::from_slice(&self.mean), covariance)?;
+            let grad = kernel.log_likelihood_gradient(&model)?;
+
+            // Ascend with the two learning rates (Eq. 6 for the mean, Eq. 7
+            // for Sigma), each gradient entry clamped to +-1e6.
+            for (value, &g) in self.mean.iter_mut().zip(&grad.d_mean) {
+                *value = (*value + self.config.mean_learning_rate * g.clamp(-1e6, 1e6))
+                    .clamp(0.01, 0.99);
             }
-            let candidate = from_lower_triangle(&tri, d + 1);
+            for (value, &g) in tri.iter_mut().zip(grad.d_covariance.as_slice()) {
+                *value += self.config.covariance_learning_rate * g.clamp(-1e6, 1e6);
+            }
+            let candidate = from_lower_triangle(&tri, dim);
             self.covariance = nearest_positive_definite(&candidate, self.config.min_variance)?;
         }
         Ok(())
-    }
-
-    fn objective_at(
-        &self,
-        params: &[f64],
-        kernel: &CpeLikelihoodKernel<'_>,
-    ) -> Result<f64, SelectionError> {
-        let d = self.num_prior_domains;
-        let mean = &params[..d + 1];
-        let cov = from_lower_triangle(&params[d + 1..], d + 1);
-        let cov = nearest_positive_definite(&cov, self.config.min_variance)?;
-        let model = MultivariateNormal::new(Vector::from_slice(mean), cov)?;
-        Ok(-kernel.log_likelihood(&model)?)
     }
 
     /// Predicted target-domain accuracy of a worker (Eq. 8).
@@ -568,6 +484,35 @@ mod tests {
         }
         .validate()
         .is_err());
+        // Infinite values are rejected up front: an infinite mean rate would
+        // pin the mean to the clamp corners on the first step, and an
+        // infinite covariance rate or variance floor would only fail later,
+        // in the PSD repair.
+        for config in [
+            CpeConfig {
+                mean_learning_rate: f64::INFINITY,
+                ..Default::default()
+            },
+            CpeConfig {
+                covariance_learning_rate: f64::INFINITY,
+                ..Default::default()
+            },
+            CpeConfig {
+                min_variance: f64::INFINITY,
+                ..Default::default()
+            },
+        ] {
+            assert!(
+                matches!(
+                    config.validate(),
+                    Err(SelectionError::InvalidConfig { value, .. }) if value == f64::INFINITY
+                ),
+                "{config:?}"
+            );
+            let profiles = profiles();
+            let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
+            assert!(CrossDomainEstimator::from_profiles(&refs, config).is_err());
+        }
     }
 
     #[test]
@@ -716,12 +661,10 @@ mod tests {
 
     #[test]
     fn underflow_regime_update_stays_finite() {
-        // Counts so large that the normaliser underflows: every log Z is -inf,
-        // so the objective comes back Ok(+inf) rather than Err. Before the
-        // penalty mapping covered non-finite Ok values, the FD stencil computed
-        // `inf - inf = NaN` and the clamp pushed NaN straight into the mean and
-        // covariance; the analytic oracle must likewise skip the underflowed
-        // terms instead of poisoning the accumulator.
+        // Counts so large that the normaliser underflows: every log Z is -inf.
+        // The gradient must skip the underflowed terms instead of poisoning
+        // the accumulator with NaN, which the clamp would push straight into
+        // the mean and covariance.
         let profiles = profiles();
         let refs: Vec<&HistoricalProfile> = profiles.iter().collect();
         let observations = vec![CpeObservation {
@@ -729,40 +672,28 @@ mod tests {
             correct: 500_000,
             wrong: 500_000,
         }];
-        for oracle in [
-            CpeGradient::FiniteDifference { step: 1e-5 },
-            CpeGradient::Analytic,
-        ] {
-            let config = CpeConfig {
-                mean_learning_rate: 1e-4,
-                covariance_learning_rate: 1e-4,
-                epochs: 2,
-                gradient_oracle: oracle,
-                ..Default::default()
-            };
-            let mut est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
-            let before_mean = est.mean().to_vec();
-            est.update(&observations).unwrap();
-            assert!(
-                est.mean().iter().all(|m| m.is_finite()),
-                "{oracle:?}: NaN poisoned the mean: {:?}",
-                est.mean()
-            );
-            assert!(
-                est.covariance().as_slice().iter().all(|c| c.is_finite()),
-                "{oracle:?}: NaN poisoned the covariance"
-            );
-            // The penalty surface is flat, so the underflowed evidence moves
-            // nothing — and the model stays usable.
-            assert_eq!(est.mean(), before_mean.as_slice(), "{oracle:?}");
-            assert!(est.model().is_ok());
-        }
-    }
-
-    #[test]
-    fn analytic_oracle_is_the_default() {
-        assert_eq!(CpeGradient::default(), CpeGradient::Analytic);
-        assert_eq!(CpeConfig::default().gradient_oracle, CpeGradient::Analytic);
+        let config = CpeConfig {
+            mean_learning_rate: 1e-4,
+            covariance_learning_rate: 1e-4,
+            epochs: 2,
+            ..Default::default()
+        };
+        let mut est = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
+        let before_mean = est.mean().to_vec();
+        est.update(&observations).unwrap();
+        assert!(
+            est.mean().iter().all(|m| m.is_finite()),
+            "NaN poisoned the mean: {:?}",
+            est.mean()
+        );
+        assert!(
+            est.covariance().as_slice().iter().all(|c| c.is_finite()),
+            "NaN poisoned the covariance"
+        );
+        // The underflowed evidence contributes no gradient, so it moves
+        // nothing — and the model stays usable.
+        assert_eq!(est.mean(), before_mean.as_slice());
+        assert!(est.model().is_ok());
     }
 
     #[test]

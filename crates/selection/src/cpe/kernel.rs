@@ -43,15 +43,14 @@
 //!    ([`Conditioner::solve`]) on `Σ_i ∂m_i (x_i - mu_G)`.
 //!
 //! The factorisation count per `update()` therefore drops from
-//! `O(epochs x params x workers)` to `O(epochs x params x unique_masks)` —
-//! and with the closed-form Eq. 6–7 oracle of the [`gradient`] sub-layer (the
-//! default), the `params` factor disappears entirely: one vectorised sweep
-//! per unique mask per epoch, over that mask's distinct cells. The
-//! batched-sweep count obeys the same contract (`O(unique_masks)` per
-//! likelihood, gradient or prediction pass, pinned by
-//! `tests/quadrature_batching.rs` through the `c4u_stats` sweep counters).
+//! `O(epochs x workers)` to `O(epochs x unique_masks)`: with the closed-form
+//! Eq. 6–7 gradient of the [`gradient`] sub-layer, one vectorised sweep per
+//! unique mask per epoch, over that mask's distinct cells. The batched-sweep
+//! count obeys the same contract (`O(unique_masks)` per likelihood, gradient
+//! or prediction pass, pinned by `tests/quadrature_batching.rs` through the
+//! `c4u_stats` sweep counters).
 //!
-//! The prediction, log-Z-only likelihood and finite-difference paths are
+//! The prediction and log-Z-only likelihood paths are
 //! **bit-for-bit identical** to the per-observation loop: the cached
 //! factorisation and the batched sweep perform exactly the same
 //! floating-point operations, every solve and every sweep cell is a pure
@@ -576,23 +575,10 @@ pub fn observed_domains(obs: &CpeObservation, num_domains: usize) -> (Vec<usize>
     (idx, values)
 }
 
-// The binomial×normal integrand itself lives in `c4u_stats` (alongside its
-// closed-form derivatives, which the [`gradient`] layer consumes); the kernel
-// re-exports the scalar forms so existing callers keep their import paths.
-// The kernel's own hot paths no longer call them per worker — whole mask
-// groups go through one `BinomialNormalBatch` sweep — but the scalar forms
-// remain the pinned bit-for-bit oracle for the batched results. The
-// `c4u_stats` implementation also carries the near-endpoint peak-bracketing
-// fix: the
-// historical grid spanned `[0.0125, 0.9875]`, so integrands peaking inside the
-// end gaps (large `C` with `X = 0`, or vice versa) underestimated `log_max`
-// and collapsed `log Z` to `-inf`; interior-peaked integrands are bit-for-bit
-// unchanged.
-pub use c4u_stats::{binomial_normal_log_z, binomial_normal_moments};
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c4u_stats::{binomial_normal_log_z, binomial_normal_moments};
 
     fn obs(mask: &[Option<f64>], correct: usize, wrong: usize) -> CpeObservation {
         CpeObservation {

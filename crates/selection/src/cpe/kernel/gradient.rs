@@ -43,20 +43,46 @@
 //! held to the per-member result by tolerance, not bit for bit.
 //!
 //! An observation whose normaliser underflows (`log Z = -inf`) contributes zero
-//! gradient: the finite-difference stencil would see `∞ - ∞ = NaN` there, which
-//! is exactly the poisoning the penalty mapping in
-//! `CrossDomainEstimator::update` guards against.
+//! gradient rather than NaN, so `CrossDomainEstimator::update` never steps
+//! the parameters into NaN.
 
 use super::CpeLikelihoodKernel;
-use crate::cpe::{from_lower_triangle, OBJECTIVE_PENALTY};
 use crate::SelectionError;
-use c4u_linalg::{packed_length, PackedLowerTriangle, Vector};
-use c4u_optim::GradientOracle;
-use c4u_stats::{nearest_positive_definite, Conditioner, LogZGradient, MultivariateNormal};
-use std::cell::RefCell;
+use c4u_linalg::PackedLowerTriangle;
+use c4u_stats::{Conditioner, LogZGradient, MultivariateNormal};
 
 /// The Eq. 5 log-likelihood together with its closed-form Eq. 6–7 gradient in
 /// model coordinates.
+///
+/// ```
+/// use c4u_linalg::{Matrix, Vector};
+/// use c4u_selection::{CpeLikelihoodKernel, CpeObservation};
+/// use c4u_stats::{GaussLegendre, MultivariateNormal};
+///
+/// let observations = vec![
+///     CpeObservation { prior_accuracies: vec![Some(0.8), Some(0.7)], correct: 8, wrong: 2 },
+/// ];
+/// let quadrature = GaussLegendre::new(32);
+/// let kernel = CpeLikelihoodKernel::new(&observations, 2, &quadrature);
+/// // Mean [mu_1, mu_2, mu_T] and covariance of the cross-domain normal.
+/// let model = MultivariateNormal::new(
+///     Vector::from_slice(&[0.65, 0.6, 0.5]),
+///     Matrix::from_rows(&[
+///         vec![0.02, 0.0, 0.0],
+///         vec![0.0, 0.02, 0.0],
+///         vec![0.0, 0.0, 0.02],
+///     ])
+///     .unwrap(),
+/// )
+/// .unwrap();
+///
+/// // One factored quadrature sweep per mask yields log L and its gradient.
+/// let fused = kernel.log_likelihood_gradient(&model).unwrap();
+/// assert!(fused.log_likelihood.is_finite());
+/// // Packed layout: the Eq. 6 mean block, then the row-major lower
+/// // covariance triangle (the Eq. 7 block).
+/// assert_eq!(fused.packed().len(), 3 + 6);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LikelihoodGradient {
     /// Total marginal log-likelihood `Σ_i log Z_i` (may be `-inf` when some
@@ -87,8 +113,8 @@ impl CpeLikelihoodKernel<'_> {
     ///
     /// Cost per model evaluation: one conditioning factorisation, one
     /// factored quadrature sweep and one observed-block solve per unique
-    /// mask — `O(1)` likelihood sweeps per gradient, against the
-    /// `2 x (D+1)(D+4)/2` full sweeps of the central-difference oracle.
+    /// mask — `O(1)` likelihood sweeps per gradient, where central
+    /// differences would take `2 x (D+1)(D+4)/2`.
     /// Within a mask, one conditional mean and one Gaussian row per distinct
     /// profile and three node-length dot products per distinct cell; the
     /// per-member accumulation then runs in the original member order, so
@@ -214,184 +240,14 @@ fn cpe_linalg_error(e: c4u_linalg::LinalgError) -> SelectionError {
     SelectionError::Numerical(e.to_string())
 }
 
-/// The closed-form Eq. 6–7 [`GradientOracle`] over the packed CPE parameters —
-/// the `CpeGradient::Analytic` face of the seam.
-///
-/// The parameter vector is the estimator's packing: the `D + 1` mean entries
-/// followed by the row-major packed lower triangle of the covariance. Both the
-/// objective and the gradient evaluate the model exactly as the
-/// finite-difference oracle's objective does — covariance rebuilt from the
-/// triangle, projected by [`nearest_positive_definite`]. Strictly in the
-/// interior of the PD cone (projection and variance floors inactive — every
-/// iterate the estimator produces, since `update()` re-projects after each
-/// step) the two oracles describe the same smooth objective and agree to
-/// stencil accuracy. *At* a clamp boundary they differ by construction: the
-/// stencil differentiates through the projection (flat on the infeasible
-/// side), while the analytic gradient is taken at the projected point — the
-/// per-epoch PSD projection is what keeps that discrepancy from ever leaving
-/// the feasible set.
-///
-/// Non-finite objective values map to the same `1e12` penalty as the
-/// finite-difference path; a gradient evaluation that fails to build a model
-/// (parameters outside the representable cone) returns the zero vector, which
-/// leaves the parameters unchanged for that epoch instead of poisoning them.
-///
-/// ## Fused objective/gradient evaluation
-///
-/// [`CpeLikelihoodKernel::log_likelihood_gradient`] produces `log Z` **and**
-/// its derivatives from one quadrature sweep, so the oracle never integrates
-/// twice for the same point: both [`GradientOracle::objective`] and
-/// [`GradientOracle::gradient`] run the fused sweep and memoise the pair for
-/// the evaluated parameter vector. A descent driver that asks for the
-/// objective and the gradient at the same iterate — e.g.
-/// [`GradientDescent::minimize_with_oracle`](c4u_optim::GradientDescent::minimize_with_oracle)'s
-/// per-epoch diagnostics — therefore pays **one** sweep per iterate instead of
-/// two.
-///
-/// The fused `log Z` agrees with the dedicated log-Z-only sweep
-/// ([`CpeLikelihoodKernel::log_likelihood`]) to float rounding, `~1e-12`
-/// (`c4u-stats` pins the per-cell agreement in
-/// `factored_gradients_track_the_per_cell_sweep`), except where the log-Z-only
-/// sweep underflows to `-inf` and the factored sweep stays finite — but it is
-/// **not bit-identical**, and a descent loop that selects its returned
-/// best iterate by objective value could in principle flip between iterates
-/// whose objectives differ by less than that drift. This is an accepted
-/// trade: [`CrossDomainEstimator::update`](crate::CrossDomainEstimator::update)
-/// — the only in-workspace consumer — drives this oracle through
-/// [`GradientOracle::gradient`] alone (its two-learning-rate loop never asks
-/// for the objective), so the estimator's outputs are unaffected by the
-/// fusion; only callers pairing this oracle with an objective-tracking driver
-/// observe the `~1e-12` objective surface shift.
-///
-/// ```
-/// use c4u_optim::GradientOracle;
-/// use c4u_selection::{AnalyticCpeOracle, CpeLikelihoodKernel, CpeObservation};
-/// use c4u_stats::GaussLegendre;
-///
-/// let observations = vec![
-///     CpeObservation { prior_accuracies: vec![Some(0.8), Some(0.7)], correct: 8, wrong: 2 },
-/// ];
-/// let quadrature = GaussLegendre::new(32);
-/// let kernel = CpeLikelihoodKernel::new(&observations, 2, &quadrature);
-/// let oracle = AnalyticCpeOracle::new(&kernel, 2, 1e-4);
-///
-/// // Packed parameters: mean [mu_1, mu_2, mu_T] (Eq. 6 block) followed by the
-/// // row-major lower covariance triangle (Eq. 7 block).
-/// let params = [0.65, 0.6, 0.5, 0.02, 0.0, 0.02, 0.0, 0.0, 0.02];
-/// let gradient = oracle.gradient(&params);       // one fused quadrature sweep
-/// assert_eq!(gradient.len(), params.len());
-/// // The objective at the same iterate reuses the sweep's fused log Z.
-/// assert!(oracle.objective(&params).is_finite());
-/// ```
-#[derive(Debug)]
-pub struct AnalyticCpeOracle<'k> {
-    kernel: &'k CpeLikelihoodKernel<'k>,
-    num_prior_domains: usize,
-    min_variance: f64,
-    /// Memo of the last evaluated point (interior mutability: the
-    /// [`GradientOracle`] methods take `&self`). One entry suffices — descent
-    /// drivers interleave objective/gradient requests point by point.
-    fused: RefCell<Option<FusedEvaluation>>,
-}
-
-/// One memoised fused evaluation: the parameter point with the objective value
-/// and gradient its single sweep produced.
-#[derive(Debug, Clone)]
-struct FusedEvaluation {
-    params: Vec<f64>,
-    objective: f64,
-    gradient: Vec<f64>,
-}
-
-impl<'k> AnalyticCpeOracle<'k> {
-    /// Builds the oracle over a mask-grouped kernel.
-    ///
-    /// `min_variance` must match the estimator's configuration: it controls
-    /// the PSD projection applied when unpacking candidate parameters.
-    pub fn new(
-        kernel: &'k CpeLikelihoodKernel<'k>,
-        num_prior_domains: usize,
-        min_variance: f64,
-    ) -> Self {
-        Self {
-            kernel,
-            num_prior_domains,
-            min_variance,
-            fused: RefCell::new(None),
-        }
-    }
-
-    fn model_at(&self, params: &[f64]) -> Result<MultivariateNormal, SelectionError> {
-        let dim = self.num_prior_domains + 1;
-        if params.len() != dim + packed_length(dim) {
-            return Err(SelectionError::Numerical(format!(
-                "CPE parameter vector has length {}, expected {}",
-                params.len(),
-                dim + packed_length(dim)
-            )));
-        }
-        let mean = &params[..dim];
-        let cov = from_lower_triangle(&params[dim..], dim);
-        let cov = nearest_positive_definite(&cov, self.min_variance)?;
-        Ok(MultivariateNormal::new(Vector::from_slice(mean), cov)?)
-    }
-
-    /// Runs (or recalls) the fused sweep at `x` and passes the memo to `read`.
-    ///
-    /// On a failed evaluation the memo records the penalty objective and the
-    /// zero gradient — the same surface both entry points exposed before the
-    /// fusion.
-    fn with_fused<T>(&self, x: &[f64], read: impl FnOnce(&FusedEvaluation) -> T) -> T {
-        let mut slot = self.fused.borrow_mut();
-        if slot.as_ref().is_none_or(|memo| memo.params != x) {
-            let fused = self
-                .model_at(x)
-                .and_then(|model| self.kernel.log_likelihood_gradient(&model));
-            *slot = Some(match fused {
-                Ok(fused) => {
-                    // Objective is the *negative* log-likelihood; non-finite
-                    // values (underflowed normaliser) map to the shared
-                    // penalty, exactly like the finite-difference path.
-                    let negated = -fused.log_likelihood;
-                    FusedEvaluation {
-                        params: x.to_vec(),
-                        objective: if negated.is_finite() {
-                            negated
-                        } else {
-                            OBJECTIVE_PENALTY
-                        },
-                        gradient: fused.packed().iter().map(|v| -v).collect(),
-                    }
-                }
-                Err(_) => FusedEvaluation {
-                    params: x.to_vec(),
-                    objective: OBJECTIVE_PENALTY,
-                    gradient: vec![0.0; x.len()],
-                },
-            });
-        }
-        // c4u-lint: allow(no-unwrap-in-lib, reason = "the memo slot was filled on the lines above")
-        read(slot.as_ref().expect("memo was just filled"))
-    }
-}
-
-impl GradientOracle for AnalyticCpeOracle<'_> {
-    fn objective(&self, x: &[f64]) -> f64 {
-        self.with_fused(x, |memo| memo.objective)
-    }
-
-    fn gradient(&self, x: &[f64]) -> Vec<f64> {
-        self.with_fused(x, |memo| memo.gradient.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpe::{lower_triangle, CpeObservation, CrossDomainEstimator};
+    use crate::cpe::{CpeObservation, CrossDomainEstimator};
     use crate::CpeConfig;
     use c4u_crowd_sim::HistoricalProfile;
-    use c4u_stats::{conditioning_factorizations, GaussLegendre};
+    use c4u_linalg::Vector;
+    use c4u_stats::GaussLegendre;
 
     fn estimator() -> CrossDomainEstimator {
         let profiles = [
@@ -418,46 +274,26 @@ mod tests {
         ]
     }
 
-    fn packed_params(est: &CrossDomainEstimator) -> Vec<f64> {
-        let mut params = est.mean().to_vec();
-        params.extend(lower_triangle(est.covariance()));
-        params
-    }
-
     #[test]
-    fn objective_reuses_the_gradient_sweeps_fused_log_z() {
+    fn fused_log_likelihood_tracks_the_log_z_only_sweep() {
         let est = estimator();
         let obs = observations();
         let quadrature = GaussLegendre::new(32);
         let kernel = CpeLikelihoodKernel::new(&obs, 3, &quadrature);
-        let oracle = AnalyticCpeOracle::new(&kernel, 3, 1e-4);
-        let params = packed_params(&est);
 
-        let gradient = oracle.gradient(&params);
-        assert_eq!(gradient.len(), params.len());
-        let after_gradient = conditioning_factorizations();
-        // Descent diagnostics asking for the objective at the same iterate hit
-        // the fused memo: no new conditioning (hence no new quadrature sweep).
-        let objective = oracle.objective(&params);
-        assert_eq!(conditioning_factorizations(), after_gradient);
-        assert!(objective.is_finite());
-        // And the memoised value is the (negated) fused log-likelihood of the
-        // same model the log-Z-only path describes, to float rounding.
-        let direct = -est.log_likelihood(&obs).unwrap();
+        let fused = kernel
+            .log_likelihood_gradient(&est.model().unwrap())
+            .unwrap();
+        assert_eq!(fused.packed().len(), 4 + 10);
+        assert!(fused.packed().iter().all(|g| g.is_finite()), "{fused:?}");
+        // The gradient sweep's fused log L describes the same model as the
+        // log-Z-only path, to float rounding.
+        let direct = est.log_likelihood(&obs).unwrap();
         assert!(
-            (objective - direct).abs() <= 1e-9 * (1.0 + direct.abs()),
-            "fused {objective} vs log-Z-only {direct}"
+            (fused.log_likelihood - direct).abs() <= 1e-9 * (1.0 + direct.abs()),
+            "fused {} vs log-Z-only {direct}",
+            fused.log_likelihood
         );
-        // Re-asking for the gradient is free too.
-        let before = conditioning_factorizations();
-        assert_eq!(oracle.gradient(&params), gradient);
-        assert_eq!(conditioning_factorizations(), before);
-
-        // A different point invalidates the memo and re-sweeps.
-        let mut moved = params.clone();
-        moved[0] += 1e-3;
-        let _ = oracle.objective(&moved);
-        assert!(conditioning_factorizations() > before);
     }
 
     /// The collapsed-variance trap seen on pool_large seed 12: after one
@@ -497,18 +333,5 @@ mod tests {
         assert!(fused.packed().iter().all(|g| g.is_finite()), "{fused:?}");
         let d_var_t = fused.d_covariance.as_slice()[2];
         assert!(d_var_t != 0.0, "{fused:?}");
-    }
-
-    #[test]
-    fn unbuildable_points_memoise_the_penalty_surface() {
-        let obs = observations();
-        let quadrature = GaussLegendre::new(32);
-        let kernel = CpeLikelihoodKernel::new(&obs, 3, &quadrature);
-        let oracle = AnalyticCpeOracle::new(&kernel, 3, 1e-4);
-        // Wrong parameter length: model construction fails, the objective is
-        // the shared penalty and the gradient the harmless zero vector.
-        let bogus = vec![0.5; 3];
-        assert_eq!(oracle.objective(&bogus), OBJECTIVE_PENALTY);
-        assert_eq!(oracle.gradient(&bogus), vec![0.0; 3]);
     }
 }

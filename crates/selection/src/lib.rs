@@ -64,12 +64,9 @@ pub mod theory;
 
 pub use baselines::{GroundTruthOracle, LiEtAl, MedianEliminationBaseline, UniformSampling};
 pub use budget::BudgetPlan;
-pub use cpe::kernel::gradient::{AnalyticCpeOracle, LikelihoodGradient};
-pub use cpe::kernel::{
-    binomial_normal_log_z, binomial_normal_moments, observed_domains, CpeLikelihoodKernel,
-    MaskGroup, MaskGroups,
-};
-pub use cpe::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator};
+pub use cpe::kernel::gradient::LikelihoodGradient;
+pub use cpe::kernel::{observed_domains, CpeLikelihoodKernel, MaskGroup, MaskGroups};
+pub use cpe::{CpeConfig, CpeObservation, CrossDomainEstimator};
 // The fold-pass math mode of the batched quadrature sweeps, re-exported so
 // `CpeConfig::quadrature_math` can be set without importing `c4u_stats`.
 pub use c4u_stats::QuadratureMath;

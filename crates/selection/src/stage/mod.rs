@@ -217,9 +217,9 @@ pub(crate) fn pool_prior_means(init: &StageInit<'_>) -> Vec<f64> {
 /// It ignores its `prior` input, so it is usually the first stage.
 ///
 /// Both the update and the prediction run on the batched mask-grouped
-/// likelihood kernel (`cpe::kernel`), and the gradient comes from the oracle
-/// selected by [`CpeConfig::gradient_oracle`] — so every staged selector and
-/// every [`EvalEngine`](crate::EvalEngine) run hits the batched path.
+/// likelihood kernel (`cpe::kernel`), the update on its closed-form Eq. 6–7
+/// gradient — so every staged selector and every
+/// [`EvalEngine`](crate::EvalEngine) run hits the batched path.
 #[derive(Debug, Clone)]
 pub struct CpeStage {
     config: CpeConfig,

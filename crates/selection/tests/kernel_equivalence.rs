@@ -3,32 +3,30 @@
 //!
 //! [`reference::ReferenceEstimator`] is a literal transcription of the
 //! historical per-observation code path: `condition_on` once per observation
-//! per model evaluation, `gradient_with_step` over a per-observation objective,
-//! and per-observation prediction. The tests seed it with the exact state of a
-//! [`CrossDomainEstimator`] and require exact `f64` equality of the
-//! log-likelihood, the post-`update` mean and covariance, and `predict_batch`
-//! on observation sets that mix fully-observed, partially-missing, and
-//! all-missing masks.
+//! per model evaluation, and per-observation prediction. The tests seed it
+//! with the exact state of a [`CrossDomainEstimator`] and require exact `f64`
+//! equality of the log-likelihood and of `predict_batch` on observation sets
+//! that mix fully-observed, partially-missing, and all-missing masks.
 //!
-//! The quantised-lattice fixture repeats the same three checks on a pool shaped
+//! The quantised-lattice fixture repeats the same checks on a pool shaped
 //! like a real one: about 2 000 workers whose profiles are multiples of `1/20`
 //! and whose answer counts are integers in `0..=20`, over three masks. Most
 //! workers share their `(profile, correct, wrong)` cell with others, so these
-//! tests exercise the kernel's per-distinct-cell evaluation. The analytic
-//! (default) update on that pool is held to the bits the per-member loop
-//! produced, within a relative tolerance of `1e-12`: the factored gradient
-//! sweep and the one-solve-per-mask backpropagation round differently from
-//! the per-cell sweep and per-profile solves they replaced.
+//! tests exercise the kernel's per-distinct-cell evaluation. The update on
+//! that pool is held to the bits the per-member loop produced, within a
+//! relative tolerance of `1e-12`: the factored gradient sweep and the
+//! one-solve-per-mask backpropagation round differently from the per-cell
+//! sweep and per-profile solves they replaced.
 //!
 //! A final test pins the *factorisation count*: one observed-block Cholesky per
-//! unique non-empty mask per objective evaluation, i.e.
-//! `epochs x (2 x params) x unique_masks` per `update()` — the acceptance
-//! criterion of the batched-kernel refactor.
+//! unique non-empty mask per gradient evaluation, i.e.
+//! `epochs x unique_masks` per `update()` — the acceptance criterion of the
+//! batched-kernel refactor.
 
 mod reference;
 
 use c4u_crowd_sim::HistoricalProfile;
-use c4u_selection::{CpeConfig, CpeGradient, CpeObservation, CrossDomainEstimator, MaskGroups};
+use c4u_selection::{CpeConfig, CpeObservation, CrossDomainEstimator, MaskGroups};
 use c4u_stats::conditioning_factorizations;
 use reference::ReferenceEstimator;
 
@@ -100,10 +98,6 @@ fn fast_config() -> CpeConfig {
         mean_learning_rate: 1e-4,
         covariance_learning_rate: 1e-4,
         epochs: 4,
-        // The reference transcribes the historical finite-difference update, so
-        // this suite pins the FD oracle explicitly now that the estimator
-        // defaults to the analytic one.
-        gradient_oracle: CpeGradient::FiniteDifference { step: 1e-5 },
         ..Default::default()
     }
 }
@@ -121,25 +115,6 @@ fn log_likelihood_matches_reference_bit_for_bit() {
     let reference = ReferenceEstimator::from_estimator(&est, config);
     let observations = mixed_observations();
     // Exact f64 equality: the kernel must not change a single bit.
-    assert_eq!(
-        est.log_likelihood(&observations).unwrap(),
-        reference.log_likelihood(&observations)
-    );
-}
-
-#[test]
-fn update_matches_reference_bit_for_bit() {
-    let config = fast_config();
-    let mut est = estimator(config);
-    let mut reference = ReferenceEstimator::from_estimator(&est, config);
-    let observations = mixed_observations();
-
-    est.update(&observations).unwrap();
-    reference.update(&observations);
-
-    assert_eq!(est.mean(), reference.mean.as_slice());
-    assert_eq!(est.covariance().as_slice(), reference.covariance.as_slice());
-    // And the post-update likelihood agrees exactly too.
     assert_eq!(
         est.log_likelihood(&observations).unwrap(),
         reference.log_likelihood(&observations)
@@ -175,8 +150,6 @@ fn update_factorizes_once_per_unique_mask_per_objective_evaluation() {
     let mut est = estimator(config);
     let observations = mixed_observations();
 
-    let d = est.num_prior_domains();
-    let params = (d + 1) + (d + 1) * (d + 2) / 2;
     // mixed_observations: 4 distinct masks ({0,1,2}, {0,2}, {}, {1}), of which
     // 3 are non-empty (the all-missing mask conditions on nothing and never
     // factorises).
@@ -188,12 +161,12 @@ fn update_factorizes_once_per_unique_mask_per_objective_evaluation() {
     est.update(&observations).unwrap();
     let spent = conditioning_factorizations() - before;
 
-    // Central differences evaluate the objective twice per parameter; each
-    // evaluation factorises once per unique non-empty mask — not once per
-    // worker, which is the entire point of the batched kernel.
-    let expected = config.epochs as u64 * 2 * params as u64 * non_empty_masks;
+    // Each epoch evaluates the closed-form gradient once, and that evaluation
+    // factorises once per unique non-empty mask — not once per worker, which
+    // is the entire point of the batched kernel.
+    let expected = config.epochs as u64 * non_empty_masks;
     assert_eq!(spent, expected);
-    let per_worker_cost = config.epochs as u64 * 2 * params as u64 * workers;
+    let per_worker_cost = config.epochs as u64 * workers;
     assert!(spent < per_worker_cost);
 
     // predict_batch: one factorisation per unique non-empty mask, total.
@@ -215,13 +188,9 @@ fn lattice_fixture_is_heavily_duplicated() {
 
 const LATTICE_WORKERS: usize = 2_000;
 
-/// Two FD epochs: the reference conditions every worker from scratch for each
-/// of the `2 x 14` stencil evaluations, which dominates this suite's time.
+/// The lattice tests evaluate one model, so the fast config serves.
 fn lattice_config() -> CpeConfig {
-    CpeConfig {
-        epochs: 2,
-        ..fast_config()
-    }
+    fast_config()
 }
 
 #[test]
@@ -234,20 +203,6 @@ fn lattice_log_likelihood_matches_reference_bit_for_bit() {
         est.log_likelihood(&observations).unwrap(),
         reference.log_likelihood(&observations)
     );
-}
-
-#[test]
-fn lattice_update_matches_reference_bit_for_bit() {
-    let config = lattice_config();
-    let mut est = estimator(config);
-    let mut reference = ReferenceEstimator::from_estimator(&est, config);
-    let observations = lattice_observations(LATTICE_WORKERS);
-
-    est.update(&observations).unwrap();
-    reference.update(&observations);
-
-    assert_eq!(est.mean(), reference.mean.as_slice());
-    assert_eq!(est.covariance().as_slice(), reference.covariance.as_slice());
 }
 
 #[test]

@@ -6,9 +6,8 @@
 //! observation sets — arbitrary missing-domain masks with the all-missing and
 //! fully-observed masks force-included, counts from `(0, 0)` up to large-count
 //! workers — the analytic `log_likelihood_gradient` must agree with central
-//! finite differences of `log_likelihood` over the packed parameters (the
-//! exact quantity `CpeGradient::FiniteDifference` consumes) to stencil
-//! accuracy.
+//! finite differences of `log_likelihood` over the packed parameters to
+//! stencil accuracy.
 //!
 //! The tolerance is tied to the stencil: a central difference with step `h`
 //! carries `O(h^2 |f'''|)` truncation error plus `O(eps |f| / h)` cancellation
@@ -18,17 +17,15 @@
 
 mod reference;
 
-use c4u_selection::{
-    CpeConfig, CpeGradient, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator,
-};
+use c4u_selection::{CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator};
 use c4u_stats::{GaussLegendre, Matrix, MultivariateNormal, Vector};
 use proptest::prelude::*;
-use reference::{from_lower_triangle, lower_triangle};
+use reference::{from_lower_triangle, lower_triangle, ReferenceEstimator};
 
 const NUM_DOMAINS: usize = 3;
 const DIM: usize = NUM_DOMAINS + 1;
-/// Stencil step of the finite-difference cross-check (the default FD oracle
-/// step).
+/// Stencil step of the finite-difference cross-check (the step of
+/// `ReferenceEstimator::update`).
 const STEP: f64 = 1e-5;
 /// Per-coordinate agreement bound, tied to `STEP` (see module docs).
 const TOL: f64 = 1e-4;
@@ -149,10 +146,11 @@ proptest! {
     }
 }
 
-/// Estimator-level agreement: a full multi-epoch `update()` through the
-/// analytic oracle lands within stencil distance of the finite-difference one
-/// (the two oracles share objective surface, learning rates, clamps, and PSD
-/// projection; only the gradient differs, by `O(STEP^2)` per epoch).
+/// Estimator-level agreement: a full multi-epoch `update()` on the
+/// closed-form gradient lands within stencil distance of the reference
+/// finite-difference update (both share objective surface, learning rates,
+/// clamps, and PSD projection; only the gradient differs, by `O(STEP^2)` per
+/// epoch).
 #[test]
 fn analytic_update_tracks_finite_difference_update() {
     use c4u_crowd_sim::HistoricalProfile;
@@ -182,44 +180,30 @@ fn analytic_update_tracks_finite_difference_update() {
         },
     ];
 
-    let base = CpeConfig {
+    let config = CpeConfig {
         mean_learning_rate: 1e-4,
         covariance_learning_rate: 1e-4,
         epochs: 10,
         ..Default::default()
     };
-    let mut analytic = CrossDomainEstimator::from_profiles(
-        &refs,
-        CpeConfig {
-            gradient_oracle: CpeGradient::Analytic,
-            ..base
-        },
-    )
-    .unwrap();
-    let mut stencil = CrossDomainEstimator::from_profiles(
-        &refs,
-        CpeConfig {
-            gradient_oracle: CpeGradient::FiniteDifference { step: STEP },
-            ..base
-        },
-    )
-    .unwrap();
+    let mut analytic = CrossDomainEstimator::from_profiles(&refs, config).unwrap();
+    let mut stencil = ReferenceEstimator::from_estimator(&analytic, config);
     analytic.update(&observations).unwrap();
-    stencil.update(&observations).unwrap();
+    stencil.update(&observations);
 
-    for (a, f) in analytic.mean().iter().zip(stencil.mean()) {
+    for (a, f) in analytic.mean().iter().zip(&stencil.mean) {
         assert!((a - f).abs() < 1e-6, "mean {a} vs {f}");
     }
     for (a, f) in analytic
         .covariance()
         .as_slice()
         .iter()
-        .zip(stencil.covariance().as_slice())
+        .zip(stencil.covariance.as_slice())
     {
         assert!((a - f).abs() < 1e-6, "covariance {a} vs {f}");
     }
     // Both end on the same likelihood surface point to high precision.
     let la = analytic.log_likelihood(&observations).unwrap();
-    let lf = stencil.log_likelihood(&observations).unwrap();
+    let lf = stencil.log_likelihood(&observations);
     assert!((la - lf).abs() < 1e-6, "log-likelihood {la} vs {lf}");
 }

@@ -19,10 +19,10 @@ mod reference;
 
 use c4u_crowd_sim::HistoricalProfile;
 use c4u_selection::{
-    binomial_normal_moments, observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation,
-    CrossDomainEstimator, SelectionError,
+    observed_domains, CpeConfig, CpeLikelihoodKernel, CpeObservation, CrossDomainEstimator,
+    SelectionError,
 };
-use c4u_stats::{GaussLegendre, MultivariateNormal};
+use c4u_stats::{binomial_normal_moments, GaussLegendre, MultivariateNormal};
 use proptest::prelude::*;
 use reference::reference_worker_log_likelihood;
 

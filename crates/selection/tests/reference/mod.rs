@@ -1,10 +1,11 @@
 //! Shared test support: a literal transcription of the historical
 //! per-observation CPE likelihood path, kept verbatim as ground truth for the
-//! batched mask-grouped kernel.
+//! batched mask-grouped kernel, and of the historical central-difference
+//! update, kept as the cross-check for the closed-form Eq. 6–7 gradient.
 //!
 //! `kernel_equivalence.rs` (exact-state equivalence), `proptest_kernel.rs`
-//! (randomised equivalence), and the `cpe_kernel` bench in `c4u-bench` (via a
-//! `#[path]` module include) all compare against this single copy, so the
+//! (randomised equivalence), `fd_pinned.rs` and `proptest_gradient.rs` (the
+//! finite-difference update) all compare against this single copy, so the
 //! transcription cannot silently drift between suites.
 
 // Each including binary uses a different subset of this support module; the
@@ -12,12 +13,13 @@
 #![allow(dead_code)]
 
 use c4u_optim::gradient_with_step;
-use c4u_selection::{
-    binomial_normal_moments, observed_domains, CpeConfig, CpeObservation, CrossDomainEstimator,
-};
+use c4u_selection::{observed_domains, CpeConfig, CpeObservation, CrossDomainEstimator};
 // Matrix/Vector via the stats re-exports: every including crate depends on
 // c4u-stats, but not all of them on c4u-linalg directly.
-use c4u_stats::{nearest_positive_definite, GaussLegendre, Matrix, MultivariateNormal, Vector};
+use c4u_stats::{
+    binomial_normal_moments, nearest_positive_definite, GaussLegendre, Matrix, MultivariateNormal,
+    Vector,
+};
 
 /// Lower-triangle (row-major) packing of a symmetric matrix (transcribed from
 /// the estimator's private helper).
